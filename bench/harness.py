@@ -9,12 +9,16 @@ workloads.py; every later output must equal its first-round output byte for
 byte, as the CLI promises. An operation fails on a non-zero exit code, an
 exception, a failed check or a changed output.
 
-Timings are best of k: each operation's fastest latency over the k rounds
-of the run. On the shared 2-core host this benchmark was built on, the same
-code runs in a fast and a ~1.75x slower regime that alternate every 10 to
-20 s (thread CPU time moves with wall time, so it is not scheduling); a
-median over one 20 s run depends on how much of it fell in each regime,
-while the fastest latency of each operation repeats from run to run.
+Timings are calibrated: the calibration kernel of calib.py runs before
+every operation and after the last, and each latency is divided by the mean
+of the two calibrations around it and multiplied by calib.REFERENCE_S. On
+the shared 2-core host this benchmark was built on, the same code runs up
+to ~2x slower for stretches of a second to minutes (thread CPU time moves
+with wall time, so it is not scheduling); raw medians and best-of-k times
+of 25 s runs spread 0.15 to 0.3 between runs (IQR over median, 10 seeds),
+calibrated ones 0.02 to 0.065.
+An operation's time is the median of its calibrated latencies over the
+rounds of a run.
 """
 from __future__ import annotations
 
@@ -30,10 +34,11 @@ from time import perf_counter
 
 from floqtools import cli
 
+import calib
 import layers
 import workloads
 
-SETUP_RUNS = 3
+SETUP_RUNS = 5
 SETUP_CODE = (
     "import time\n"
     "t0 = time.perf_counter()\n"
@@ -79,7 +84,12 @@ def layer_metric_units():
 
 def measure_setup(src, runs=SETUP_RUNS):
     """Median wall time of a fresh interpreter that imports floqtools.cli and
-    builds the parser, with the median import and parser-build times inside it."""
+    builds the parser, with the median import and parser-build times inside it.
+
+    Not calibrated: import time follows the calibration kernel poorly
+    (correlation 0.4 over 94 fresh interpreters), and dividing by it doubled
+    the spread of single set-up times, from 0.10 to 0.2 (IQR over median).
+    """
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("FLOQUET_STEPS", None)
     walls, imports, parsers = [], [], []
@@ -149,6 +159,8 @@ class Rounds:
         self.changed = [0] * len(ops)        # later outputs that differ from round 0
         self.round_s = {False: [], True: []}
         self.latencies = {False: [[] for _ in ops], True: [[] for _ in ops]}
+        self.calibrated = {False: [[] for _ in ops], True: [[] for _ in ops]}
+        self.kernel_s = []                   # every calibration, in seconds
         self.tables = []                     # one layer table per traced round
         self.output_bytes = 0                # stdout of one round
         self.rounds = 0
@@ -158,12 +170,19 @@ class Rounds:
             if traced:
                 tracer.reset()
                 tracer.install()
+            round_start = perf_counter()
             total = 0.0
+            before = calib.kernel_seconds()
+            self.kernel_s.append(before)
             try:
                 for i, op in enumerate(ops):
                     code, elapsed, text, err = run_op(op.argv)
+                    after = calib.kernel_seconds()
+                    self.kernel_s.append(after)
                     total += elapsed
                     self.latencies[traced][i].append(elapsed)
+                    self.calibrated[traced][i].append(calib.calibrated(elapsed, before, after))
+                    before = after
                     if self.rounds == 0:
                         self.firsts.append((code, text, err))
                         self.output_bytes += len(text.encode())
@@ -177,7 +196,8 @@ class Rounds:
             self.round_s[traced].append(total)
             self.rounds += 1
             # Stop before a round that would end past the deadline.
-            if (perf_counter() - start + total > seconds
+            now = perf_counter()
+            if (now - start + now - round_start > seconds
                     and (tracer is None or self.rounds >= 2)):
                 break
         self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -191,9 +211,9 @@ class Rounds:
         self.correct = not any(self.problems[i] and self.firsts[i][0] == 0
                                for i in range(len(ops))) and not any(self.changed)
 
-    def best(self, traced=False):
-        """Fastest latency of each operation, in seconds."""
-        return [min(ts) for ts in self.latencies[traced]]
+    def op_seconds(self, traced=False):
+        """Median calibrated latency of each operation, in seconds."""
+        return [statistics.median(ts) for ts in self.calibrated[traced]]
 
 
 def run_workload(name, seed, seconds, trace, src):
@@ -201,7 +221,7 @@ def run_workload(name, seed, seconds, trace, src):
 
     With trace, untraced and traced rounds alternate; the result then holds
     the per-layer metrics of one round, self times as the best over the
-    traced rounds, and the traced/untraced ratio of summed best latencies.
+    traced rounds, and the traced/untraced ratio of summed operation times.
     """
     setup_s, import_s, parser_s = measure_setup(src)
     workload = workloads.build(name, seed)
@@ -209,11 +229,11 @@ def run_workload(name, seed, seconds, trace, src):
     if trace:
         metrics = layer_metrics(run, import_s)
     else:
-        best = run.best()
+        op_s = run.op_seconds()
         metrics = {
             "setup_s": (setup_s, "s"),
-            "run_s": (sum(best), "s"),
-            "op_p50_ms": (1e3 * statistics.median(best), "ms"),
+            "run_s": (sum(op_s), "s"),
+            "op_p50_ms": (1e3 * statistics.median(op_s), "ms"),
             "peak_rss_mb": (run.peak_rss_mb, "MB"),
         }
     result = {
@@ -227,8 +247,12 @@ def run_workload(name, seed, seconds, trace, src):
         "rounds": run.rounds, "round_s": run.round_s[False],
         "traced_round_s": run.round_s[True],
         "setup": {"wall_s": setup_s, "import_s": import_s, "build_parser_s": parser_s},
+        "kernel_ms": {"reference": 1e3 * calib.REFERENCE_S,
+                      "median": 1e3 * statistics.median(run.kernel_s),
+                      "min": 1e3 * min(run.kernel_s), "max": 1e3 * max(run.kernel_s)},
         "peak_rss_mb": run.peak_rss_mb,
         "ops": [{"kind": op.kind, "latencies_ms": [1e3 * t for t in run.latencies[False][i]],
+                 "calibrated_ms": [1e3 * t for t in run.calibrated[False][i]],
                  "output_bytes": len(run.firsts[i][1].encode()),
                  "worst_error_over_tol": run.worst[i], "problems": run.problems[i][:5],
                  "changed_outputs": run.changed[i]}
@@ -267,5 +291,6 @@ def layer_metrics(run, import_s):
     out["cli.self_ms"] = (sum(best(layer, "self_ms") for layer in cli_layers), "ms")
     out["cli.output_bytes"] = (run.output_bytes, "bytes")
     out["setup.import_ms"] = (1e3 * import_s, "ms")
-    out["trace.overhead_ratio"] = (sum(run.best(traced=True)) / sum(run.best()), "ratio")
+    out["trace.overhead_ratio"] = (sum(run.op_seconds(traced=True)) / sum(run.op_seconds()),
+                                   "ratio")
     return out

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import calib
 import harness
 import layers
 import workloads
@@ -57,6 +58,8 @@ def test_small_workload_runs_clean_with_tracing(name):
     assert run.rounds == 2 and len(run.tables) == 1
     assert run.correct and run.failed == 0, run.problems
     assert run.attempted == 2 * len(wl.ops)
+    assert [len(ts) for ts in run.calibrated[False]] == [1] * len(wl.ops)
+    assert len(run.kernel_s) == 2 * (len(wl.ops) + 1)
     table = run.tables[0]
     assert table["cli.main"]["calls"] == len(wl.ops)
     used = {
@@ -235,6 +238,14 @@ def test_non_zero_exit_counts_as_failed_and_leaves_correct():
 def test_setup_measurement_starts_a_fresh_interpreter():
     wall, t_import, t_parser = harness.measure_setup(SRC, runs=1)
     assert wall > t_import > 0 and t_parser > 0
+
+
+def test_calibration_divides_out_the_kernel_speed():
+    ref = calib.REFERENCE_S
+    assert calib.calibrated(0.2, ref, ref) == pytest.approx(0.2)
+    assert calib.calibrated(0.2, 2 * ref, 2 * ref) == pytest.approx(0.1)
+    assert calib.calibrated(0.3, ref, 2 * ref) == pytest.approx(0.2)
+    assert 0 < calib.kernel_seconds(repeats=1) < 1.0
 
 
 def test_run_refuses_a_tree_without_sources(tmp_path):
