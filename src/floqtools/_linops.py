@@ -1,7 +1,36 @@
-"""Small dense linear-algebra helpers shared by the solvers."""
+"""Constants, step-count rules and small dense linear-algebra helpers shared by the solvers."""
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
+
+TWO_PI = 2.0 * math.pi
+
+
+def default_steps():
+    """Integrator steps per period; env var FLOQUET_STEPS overrides 4096."""
+    raw = os.environ.get("FLOQUET_STEPS")
+    if raw is None:
+        return 4096
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"FLOQUET_STEPS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError("FLOQUET_STEPS must be >= 1")
+    return value
+
+
+def resolve_steps(n_steps):
+    """n_steps as an int >= 1, with None selecting default_steps()."""
+    if n_steps is None:
+        return default_steps()
+    n = int(n_steps)
+    if n < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n}")
+    return n
 
 
 def chain_matmul(mats):

@@ -16,15 +16,20 @@ import numpy as np
 
 from . import __version__
 from . import fields, hill, planar_charge, spin_resonance
-from .profiles import DriveProfile, ProfileError, profile_from_json, with_amplitude
+from ._linops import TWO_PI
+from .profiles import (
+    DriveProfile,
+    ProfileError,
+    is_finite_number,
+    profile_from_json,
+    with_amplitude,
+)
 from .propagator import (
     StepPattern,
     instantaneous_spectrum,
     quasienergies,
     step_propagator,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def _fmt(value):
@@ -71,13 +76,23 @@ def _load_profile(value):
     return profile_from_json(_load_json_source(value, "profile"))
 
 
+def _finite_float(text):
+    """argparse type for float options: NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _matrix_entry(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_finite_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(is_finite_number, value)):
         return complex(value[0], value[1])
-    raise ProfileError(f"field {where} must be a number or an [re, im] pair")
+    raise ProfileError(f"field {where} must be a finite number or an [re, im] pair")
 
 
 def _load_pattern(value):
@@ -112,8 +127,8 @@ def _load_pattern(value):
                 raise ProfileError(f"field 'steps'[{i}].hamiltonian must be square")
             matrix.append([_matrix_entry(v, f"'steps'[{i}].hamiltonian[{r}]") for v in row])
         duration = entry["duration"]
-        if isinstance(duration, bool) or not isinstance(duration, (int, float)) or not duration > 0:
-            raise ProfileError(f"field 'steps'[{i}].duration must be a positive number")
+        if not is_finite_number(duration) or not duration > 0:
+            raise ProfileError(f"field 'steps'[{i}].duration must be a positive finite number")
         steps.append((np.array(matrix, dtype=complex), float(duration)))
     try:
         return StepPattern(tuple(steps))
@@ -192,7 +207,7 @@ def _cmd_stability_scan(args):
     for alpha in grid:
         profile = DriveProfile.sinusoid(2.0 * alpha * args.omega, args.omega)
         trace = float(np.trace(hill.monodromy(profile, args.steps)))
-        rows.append((float(alpha), trace, abs(trace) <= 2.0))
+        rows.append((float(alpha), trace, hill.classify_trace(trace) != hill.HYPERBOLIC))
     _emit_csv(("alpha", "trace", "stable"), rows, args.output)
     return 0
 
@@ -238,17 +253,15 @@ def _cmd_fields_probe(args):
     trap = fields.TrapField(args.amplitude, args.omega, args.light_speed)
     x = np.asarray(args.x, dtype=float)
     if args.mode == "rotating":
-        potential = fields.vector_potential_rotating(trap, x, args.t)
-        limit = fields.rotating_nodal_field(trap, args.t)
-        fd = fields.magnetic_field_fd(
-            lambda xx, tt: fields.vector_potential_rotating(trap, xx, tt),
-            x, args.t, args.h)
+        vector_potential, nodal_field = (fields.vector_potential_rotating,
+                                         fields.rotating_nodal_field)
     else:
-        potential = fields.vector_potential_standing(trap, x, args.t)
-        limit = fields.standing_nodal_field(trap, args.t)
-        fd = fields.magnetic_field_fd(
-            lambda xx, tt: fields.vector_potential_standing(trap, xx, tt),
-            x, args.t, args.h)
+        vector_potential, nodal_field = (fields.vector_potential_standing,
+                                         fields.standing_nodal_field)
+    potential = vector_potential(trap, x, args.t)
+    limit = nodal_field(trap, args.t)
+    fd = fields.magnetic_field_fd(lambda xx, tt: vector_potential(trap, xx, tt),
+                                  x, args.t, args.h)
     _emit_json({
         "mode": args.mode,
         "x": list(map(float, x)),
@@ -277,59 +290,61 @@ def build_parser():
 
     p = sub.add_parser("osc-spectrum", help="Floquet-frequency sweep of a drive family")
     p.add_argument("--profile", required=True, help="drive profile JSON (file or inline)")
-    p.add_argument("--beta0-min", type=float, required=True)
-    p.add_argument("--beta0-max", type=float, required=True)
+    p.add_argument("--beta0-min", type=_finite_float, required=True)
+    p.add_argument("--beta0-max", type=_finite_float, required=True)
     p.add_argument("--points", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_osc_spectrum)
 
     p = sub.add_parser("osc-loop-find", help="amplitude where the Floquet angle hits a target")
     p.add_argument("--profile", required=True)
-    p.add_argument("--angle", type=float, default=math.pi / 2,
+    p.add_argument("--angle", type=_finite_float, default=math.pi / 2,
                    help="target Floquet angle omega_F*T in radians (default pi/2)")
-    p.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--bracket", type=_finite_float, nargs=2, required=True,
+                   metavar=("LO", "HI"))
     _add_common(p)
     p.set_defaults(func=_cmd_osc_loop_find)
 
     p = sub.add_parser("osc-trajectory", help="phase-plane trajectory of the driven oscillator")
     p.add_argument("--profile", required=True)
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--q0", type=_finite_float, default=1.0)
+    p.add_argument("--p0", type=_finite_float, default=0.0)
+    p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_osc_trajectory)
 
     p = sub.add_parser("planar-loop", help="loop check for the planar charge in an axial field")
-    p.add_argument("--beta0", type=float, required=True)
-    p.add_argument("--beta1", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--beta0", type=_finite_float, required=True)
+    p.add_argument("--beta1", type=_finite_float, required=True)
+    p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--periods", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=_finite_float, default=1e-2)
     p.add_argument("--polish", action="store_true",
                    help="also refine beta1 onto the exact loop")
     _add_common(p)
     p.set_defaults(func=_cmd_planar_loop)
 
     p = sub.add_parser("stability-scan", help="stability chart of the sinusoidally driven trap")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--alpha-min", type=float, default=0.0)
-    p.add_argument("--alpha-max", type=float, default=1.0)
+    p.add_argument("--omega", type=_finite_float, required=True)
+    p.add_argument("--alpha-min", type=_finite_float, default=0.0)
+    p.add_argument("--alpha-max", type=_finite_float, default=1.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--find-threshold", action="store_true",
-                   help="bisect the first stability boundary instead of scanning")
-    p.add_argument("--bracket", type=float, nargs=2, default=(0.3, 0.8), metavar=("LO", "HI"))
+                   help="locate the first stability boundary instead of scanning")
+    p.add_argument("--bracket", type=_finite_float, nargs=2, default=(0.3, 0.8),
+                   metavar=("LO", "HI"))
     _add_common(p)
     p.set_defaults(func=_cmd_stability_scan)
 
     p = sub.add_parser("spin-spectrum", help="resonance spacing of the rotating-field spin")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--B", type=float, default=0.0)
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--mu", type=_finite_float, required=True)
+    p.add_argument("--B", type=_finite_float, default=0.0)
+    p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--points", type=int, default=None,
                    help="log-grid sweep of mu B / omega instead of a single point")
-    p.add_argument("--ratio-min", type=float, default=1e-3)
-    p.add_argument("--ratio-max", type=float, default=1e3)
+    p.add_argument("--ratio-min", type=_finite_float, default=1e-3)
+    p.add_argument("--ratio-max", type=_finite_float, default=1e3)
     _add_common(p)
     p.set_defaults(func=_cmd_spin_spectrum)
 
@@ -341,13 +356,13 @@ def build_parser():
     p.set_defaults(func=_cmd_step_floquet)
 
     p = sub.add_parser("fields-probe", help="trap vector potential and its field")
-    p.add_argument("--amplitude", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--light-speed", type=float, default=1.0)
-    p.add_argument("--x", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--amplitude", type=_finite_float, required=True)
+    p.add_argument("--omega", type=_finite_float, required=True)
+    p.add_argument("--light-speed", type=_finite_float, default=1.0)
+    p.add_argument("--x", type=_finite_float, nargs=3, required=True, metavar=("X", "Y", "Z"))
+    p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--mode", choices=("rotating", "standing"), default="rotating")
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument("--h", type=_finite_float, default=1e-5, help="finite-difference step")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_fields_probe)
 

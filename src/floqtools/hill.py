@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
-from ._linops import chain_matmul, oscillator_blocks
+from ._linops import TWO_PI, chain_matmul, oscillator_blocks, resolve_steps
 from .profiles import DriveProfile, integration_segments
-from .propagator import TWO_PI, default_steps, reduce_to_zone
+from .propagator import reduce_to_zone
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -26,7 +26,7 @@ _LOOP_TOL = 1e-8
 
 
 class NoRootError(RuntimeError):
-    """A bisection bracket does not contain a sign change."""
+    """A root bracket does not contain a sign change."""
 
 
 @dataclass(frozen=True)
@@ -50,36 +50,49 @@ def monodromy(profile, n_steps=None):
     """One-period flow map of (q, p) for q'' + beta(t)^2 q = 0.
 
     Constant and steps profiles are composed from exact rotation/shear
-    blocks (n_steps is ignored); sinusoidal profiles use n_steps
+    blocks (n_steps is only checked); sinusoidal profiles use n_steps
     midpoint-frozen blocks per period, each exactly area preserving.
     """
-    if n_steps is None:
-        n_steps = default_steps()
-    dts, betas = integration_segments(profile, 0.0, profile.period, n_steps)
+    n = resolve_steps(n_steps)
+    dts, betas = integration_segments(profile, 0.0, profile.period, n)
     return chain_matmul(oscillator_blocks(betas, dts))
+
+
+def classify_trace(tr):
+    """Stability class of a monodromy with trace tr.
+
+    Elliptic for |tr| < 2, hyperbolic for |tr| > 2, parabolic within
+    1e-12 of the boundary.
+    """
+    if abs(abs(tr) - 2.0) <= _PARABOLIC_TOL:
+        return PARABOLIC
+    return ELLIPTIC if abs(tr) < 2.0 else HYPERBOLIC
+
+
+def floquet_angle(tr):
+    """Floquet angle omega_F T in [0, pi] solving cos(omega_F T) = tr / 2.
+
+    The cosine is clamped to [-1, 1], so a trace that round-off pushed just
+    past +-2 maps onto the boundary angle.
+    """
+    return math.acos(min(1.0, max(-1.0, 0.5 * tr)))
 
 
 def floquet_result(m, t_period, n_max=64):
     """Classify a monodromy matrix and search for its loop order.
 
-    Elliptic for |tr| < 2, hyperbolic for |tr| > 2, parabolic on the
-    boundary. The Floquet frequency solves cos(omega_F T) = tr/2 with
-    omega_F T in [0, pi]; loop_order is the least n <= n_max with
-    ||M^n - 1||_max below 1e-8, absent otherwise.
+    The stability class comes from classify_trace and the Floquet frequency
+    from floquet_angle(tr) / T, both absent for a hyperbolic monodromy;
+    loop_order is the least n <= n_max with ||M^n - 1||_max below 1e-8,
+    absent otherwise.
     """
     m = np.asarray(m, dtype=float)
     tr = float(np.trace(m))
-    if abs(abs(tr) - 2.0) <= _PARABOLIC_TOL:
-        stability = PARABOLIC
-    elif abs(tr) < 2.0:
-        stability = ELLIPTIC
-    else:
-        stability = HYPERBOLIC
+    stability = classify_trace(tr)
     omega_f = None
-    if stability != HYPERBOLIC:
-        omega_f = math.acos(min(1.0, max(-1.0, 0.5 * tr))) / t_period
     loop_order = None
     if stability != HYPERBOLIC:
+        omega_f = floquet_angle(tr) / t_period
         eye = np.eye(2)
         power = eye
         for n in range(1, int(n_max) + 1):
@@ -96,6 +109,19 @@ def loop_deviation(m, n_periods):
     return float(np.abs(power - np.eye(m.shape[0])).max())
 
 
+def _trace_root(trace_at, goal, bracket, xtol, what):
+    """Parameter x in bracket with trace_at(x) == goal, by Brent's method.
+
+    Raises NoRootError naming `what` when trace_at(x) - goal has no sign
+    change across the bracket.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    try:
+        return float(brentq(lambda x: trace_at(x) - goal, lo, hi, xtol=xtol))
+    except ValueError as exc:
+        raise NoRootError(f"no {what} inside bracket ({lo:g}, {hi:g})") from exc
+
+
 def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
     """Drive amplitude at which the Floquet angle omega_F T crosses target_angle.
 
@@ -109,23 +135,14 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
     bracket : (float, float)
         Amplitude interval with a sign change of tr M - 2 cos(target_angle).
 
-    Bisection runs on the trace rather than on the angle itself, so the
+    Brent's method runs on the trace rather than on the angle itself, so the
     bracket may graze instability without arccos domain failures.
 
     Raises NoRootError when the bracket holds no sign change.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    goal = 2.0 * math.cos(target_angle)
-
-    def objective(beta0):
-        return float(np.trace(monodromy(family(beta0), n_steps))) - goal
-
-    try:
-        root = bisect(objective, lo, hi, xtol=xtol)
-    except ValueError as exc:
-        raise NoRootError(
-            f"no Floquet-angle crossing inside bracket ({lo:g}, {hi:g})") from exc
-    return float(root)
+    return _trace_root(lambda b: float(np.trace(monodromy(family(b), n_steps))),
+                       2.0 * math.cos(target_angle), bracket, xtol,
+                       "Floquet-angle crossing")
 
 
 def loop_order_for_angle(target_angle, n_max=512):
@@ -156,27 +173,34 @@ def oscillator_quasienergies(omega_f, omega, n_levels):
     return reduce_to_zone(levels, omega)
 
 
+def _radial_samples(profile, state0, t_end, n_steps):
+    """Radial flow of q'' + beta(t)^2 q = 0 on n_steps uniform sample intervals.
+
+    state0 is a (q, p) vector or a 2 x k array of them as columns. Returns
+    (times, states) with states[k] the image of state0 at times[k]; steps
+    profiles are split at the drive discontinuities.
+    """
+    n = resolve_steps(n_steps)
+    times = np.linspace(0.0, float(t_end), n + 1)
+    state = np.asarray(state0, dtype=float)
+    states = np.empty((n + 1,) + state.shape)
+    states[0] = state
+    for k in range(n):
+        dts, betas = integration_segments(profile, times[k], times[k + 1], 1)
+        for block in oscillator_blocks(betas, dts):
+            state = block @ state
+        states[k + 1] = state
+    return times, states
+
+
 def classical_trajectory(profile, state0, t_end, n_steps=None):
     """Phase-plane path of (q, p), sampled on a uniform grid.
 
     Returns an array with rows (t, q, p); steps profiles are integrated
     exactly by splitting sample intervals at the drive discontinuities.
     """
-    if n_steps is None:
-        n_steps = default_steps()
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError("n_steps must be >= 1")
-    times = np.linspace(0.0, float(t_end), n + 1)
-    out = np.empty((n + 1, 3))
-    state = np.asarray(state0, dtype=float).copy()
-    out[0] = (times[0], state[0], state[1])
-    for k in range(n):
-        dts, betas = integration_segments(profile, times[k], times[k + 1], 1)
-        for block in oscillator_blocks(betas, dts):
-            state = block @ state
-        out[k + 1] = (times[k + 1], state[0], state[1])
-    return out
+    times, states = _radial_samples(profile, state0, t_end, n_steps)
+    return np.column_stack([times, states])
 
 
 def constant_family(period=1.0) -> Callable[[float], DriveProfile]:

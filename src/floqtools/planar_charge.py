@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import hill
-from ._linops import chain_matmul, oscillator_blocks, rotation2
+from ._linops import TWO_PI, rotation2
 from .profiles import DriveProfile, beta_period_integral, integration_segments
-from .propagator import TWO_PI, default_steps
 
 # Symplectic form on (q1, q2, p1, p2).
 SYMPLECTIC_FORM_4 = np.block([
@@ -55,32 +53,17 @@ def symplectic_defect(m):
     return float(np.abs(m.T @ SYMPLECTIC_FORM_4 @ m - SYMPLECTIC_FORM_4).max())
 
 
-def _planar_blocks(betas, dts):
-    # Frozen-beta step: the angular-momentum rotation commutes with the
-    # isotropic radial oscillator, so the exact exponential factorizes into
-    # kron(radial block, in-plane rotation) on (q1, q2, p1, p2).
-    osc = oscillator_blocks(betas, dts)
-    phi = np.asarray(betas, dtype=float) * np.asarray(dts, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    rot = np.empty(phi.shape + (2, 2))
-    rot[..., 0, 0] = c
-    rot[..., 0, 1] = s
-    rot[..., 1, 0] = -s
-    rot[..., 1, 1] = c
-    n = osc.shape[0]
-    return np.einsum("nab,ncd->nacbd", osc, rot).reshape(n, 4, 4)
-
-
 def planar_monodromy(profile, n_periods=1, n_steps=None):
-    """Flow map of (q1, q2, p1, p2) over n_periods drive periods."""
-    if n_steps is None:
-        n_steps = default_steps()
-    n_periods = int(n_periods)
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    dts, betas = integration_segments(profile, 0.0, profile.period, n_steps)
-    one_period = chain_matmul(_planar_blocks(betas, dts))
-    return np.linalg.matrix_power(one_period, n_periods)
+    """Flow map of (q1, q2, p1, p2) over n_periods drive periods.
+
+    Each frozen-beta step is kron(radial block, rotation by beta dt): the
+    angular-momentum rotation commutes with the isotropic radial oscillator.
+    The ordered product is therefore the radial Hill monodromy composed with
+    one rotation by the summed angle, built by reconstruct_planar. The angle
+    is taken from the closed-form integral of beta, which the midpoint sums
+    of the frozen steps reproduce for every profile kind.
+    """
+    return reconstruct_planar(*rotating_frame_reduction(profile, n_periods, n_steps))
 
 
 def rotating_frame_reduction(profile, n_periods=1, n_steps=None):
@@ -121,27 +104,21 @@ def stability_threshold(omega, alpha_bracket=(0.3, 0.8), n_steps=None, xtol=1e-6
 
     alpha parametrizes the drive as beta(t) = 2 alpha omega sin(omega t);
     the threshold of the rescaled radial Hill equation is a pure number, so
-    the result does not depend on omega. Bisection runs on tr M - 2, which
-    changes sign exactly at the first stability boundary (the full-period
-    trace of this family never drops below -2, being the square of the
-    half-period map).
+    the result does not depend on omega. Brent's method runs on tr M - 2,
+    which changes sign exactly at the first stability boundary (the
+    full-period trace of this family never drops below -2, being the square
+    of the half-period map).
 
     Raises NoRootError when the bracket holds no crossing.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
-    lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
 
-    def objective(alpha):
+    def trace_at(alpha):
         profile = DriveProfile.sinusoid(2.0 * alpha * omega, omega)
-        return float(np.trace(hill.monodromy(profile, n_steps))) - 2.0
+        return float(np.trace(hill.monodromy(profile, n_steps)))
 
-    try:
-        root = bisect(objective, lo, hi, xtol=xtol)
-    except ValueError as exc:
-        raise hill.NoRootError(
-            f"no stability boundary inside bracket ({lo:g}, {hi:g})") from exc
-    return float(root)
+    return hill._trace_root(trace_at, 2.0, alpha_bracket, xtol, "stability boundary")
 
 
 def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=0.05):
@@ -151,45 +128,32 @@ def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=
     multiple of 2 pi / n_periods (the loop condition for the radial factor).
     Returns the refined beta1.
     """
-    def profile(b1):
-        return DriveProfile.offset_sinusoid(beta0, b1, omega)
+    def trace_at(b1):
+        profile = DriveProfile.offset_sinusoid(beta0, b1, omega)
+        return float(np.trace(hill.monodromy(profile, n_steps)))
 
-    def angle(b1):
-        tr = float(np.trace(hill.monodromy(profile(b1), n_steps)))
-        return math.acos(min(1.0, max(-1.0, 0.5 * tr)))
-
-    target = round(angle(beta1) * n_periods / TWO_PI) * TWO_PI / n_periods
-    goal = 2.0 * math.cos(target)
-
-    def objective(b1):
-        return float(np.trace(hill.monodromy(profile(b1), n_steps))) - goal
-
-    lo = beta1 * (1.0 - rel_bracket)
-    hi = beta1 * (1.0 + rel_bracket)
-    try:
-        root = bisect(objective, lo, hi, xtol=1e-10)
-    except ValueError as exc:
-        raise hill.NoRootError(
-            f"no loop angle crossing inside bracket ({lo:g}, {hi:g})") from exc
-    return float(root)
+    angle = hill.floquet_angle(trace_at(beta1))
+    target = round(angle * n_periods / TWO_PI) * TWO_PI / n_periods
+    bracket = (beta1 * (1.0 - rel_bracket), beta1 * (1.0 + rel_bracket))
+    return hill._trace_root(trace_at, 2.0 * math.cos(target), bracket, 1e-10,
+                            "loop angle crossing")
 
 
 def planar_trajectory(profile, state0, t_end, n_steps=None):
-    """Sampled in-plane path; rows are (t, q1, q2, p1, p2)."""
-    if n_steps is None:
-        n_steps = default_steps()
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError("n_steps must be >= 1")
-    times = np.linspace(0.0, float(t_end), n + 1)
-    out = np.empty((n + 1, 5))
-    state = np.asarray(state0, dtype=float).copy()
-    out[0, 0] = times[0]
-    out[0, 1:] = state
-    for k in range(n):
-        dts, betas = integration_segments(profile, times[k], times[k + 1], 1)
-        for block in _planar_blocks(betas, dts):
-            state = block @ state
-        out[k + 1, 0] = times[k + 1]
-        out[k + 1, 1:] = state
-    return out
+    """Sampled in-plane path; rows are (t, q1, q2, p1, p2).
+
+    The radial Hill flow carries both planes at once, as the columns
+    (q1, p1) and (q2, p2) of a 2 x 2 state; each sample is then rotated by
+    the sum of beta dt over the frozen segments up to it, as in
+    reconstruct_planar.
+    """
+    q1, q2, p1, p2 = np.asarray(state0, dtype=float)
+    times, radial = hill._radial_samples(profile, [[q1, q2], [p1, p2]], t_end, n_steps)
+    # One segment per sample interval for the sinusoidal kinds; exact pieces,
+    # whose running integral is linear in between, for the others.
+    dts, betas = integration_segments(profile, 0.0, times[-1], times.size - 1)
+    ends = np.concatenate([[0.0], np.cumsum(dts)])
+    angles = np.interp(times, ends, np.concatenate([[0.0], np.cumsum(betas * dts)]))
+    # Rotate the rows (q1, q2) and (p1, p2) of every sample by its angle.
+    planes = np.einsum("kij,ljk->kil", radial, rotation2(angles))
+    return np.column_stack([times, planes.reshape(times.size, 4)])

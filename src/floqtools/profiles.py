@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from ._linops import TWO_PI, resolve_steps
 
 PROFILE_KINDS = ("constant", "steps", "sin", "offset_sin")
 
@@ -121,29 +121,34 @@ def with_amplitude(profile, beta0):
 
 
 def _step_segments(profile, t_start, t_end):
-    durations = [tau for _, tau in profile.steps]
     betas = [beta for beta, _ in profile.steps]
     period = profile.period
-    edges = np.concatenate([[0.0], np.cumsum(durations)])
-    out_dt, out_beta = [], []
+    edges = np.concatenate([[0.0], np.cumsum([tau for _, tau in profile.steps])])
+    # A point within guard below an edge belongs to the next piece, and a
+    # piece ending within guard of t_end is stretched to it. The guard grows
+    # with ulp(t_end), the rounding of k * period + edge far from t = 0.
+    guard = max(1e-12 * period, 4.0 * math.ulp(float(t_end)))
     t = float(t_start)
-    guard = 1e-12 * period
-    while t < t_end - guard:
-        k = math.floor(t / period)
-        local = t - k * period
-        if local >= period:  # float round-up at a period boundary
-            local -= period
-            k += 1
-        idx = min(int(np.searchsorted(edges, local + guard, side="right")) - 1,
-                  len(betas) - 1)
+    k = math.floor((t + guard) / period)
+    idx = int(np.searchsorted(edges, t - k * period + guard, side="right")) - 1
+    idx = min(max(idx, 0), len(betas) - 1)
+    out_dt, out_beta = [], []
+    # Pieces are visited by index (period k, step idx), so the walk ends
+    # after at most one piece per step past t_end; a piece that rounding
+    # left empty is skipped.
+    while True:
         seg_end = k * period + edges[idx + 1]
-        nxt = min(seg_end, t_end)
-        if nxt <= t:
-            break
-        out_dt.append(nxt - t)
-        out_beta.append(betas[idx])
-        t = nxt
-    return np.asarray(out_dt), np.asarray(out_beta)
+        last = seg_end >= t_end - guard
+        nxt = t_end if last else seg_end
+        if nxt > t:
+            out_dt.append(nxt - t)
+            out_beta.append(betas[idx])
+            t = nxt
+        if last:
+            return np.asarray(out_dt), np.asarray(out_beta)
+        idx += 1
+        if idx == len(betas):
+            k, idx = k + 1, 0
 
 
 def integration_segments(profile, t_start, t_end, n_steps):
@@ -151,7 +156,7 @@ def integration_segments(profile, t_start, t_end, n_steps):
 
     Piecewise-constant kinds split exactly at their discontinuities and
     ignore n_steps; the sinusoidal kinds use n_steps uniform midpoint
-    samples.
+    samples (None selects default_steps()).
     """
     span = float(t_end) - float(t_start)
     if span < 0:
@@ -162,7 +167,7 @@ def integration_segments(profile, t_start, t_end, n_steps):
         return np.array([span]), np.array([profile.beta0])
     if profile.kind == "steps":
         return _step_segments(profile, t_start, t_end)
-    n = max(1, int(n_steps))
+    n = resolve_steps(n_steps)
     dt = span / n
     mids = t_start + (np.arange(n) + 0.5) * dt
     return np.full(n, dt), eval_beta(profile, mids)
@@ -176,10 +181,20 @@ _JSON_FIELDS = {
 }
 
 
+def is_finite_number(value):
+    # json.loads accepts the literals NaN and Infinity; they are rejected here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _json_number(obj, key):
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProfileError(f"field {key!r} must be a number")
+    if not is_finite_number(value):
+        raise ProfileError(f"field {key!r} must be a finite number")
     return float(value)
 
 
@@ -220,8 +235,8 @@ def profile_from_json(source):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ProfileError(f"field 'steps'[{i}] must be a [beta, tau] pair")
             beta, tau = pair
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair):
-                raise ProfileError(f"field 'steps'[{i}] must contain numbers")
+            if not all(is_finite_number(v) for v in pair):
+                raise ProfileError(f"field 'steps'[{i}] must contain finite numbers")
             if not tau > 0:
                 raise ProfileError(f"field 'steps'[{i}]: duration must be positive")
             steps.append((float(beta), float(tau)))

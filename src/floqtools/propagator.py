@@ -7,15 +7,13 @@ U = exp(-i t H), and quasienergies live in the symmetric zone
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ._linops import chain_matmul
-
-TWO_PI = 2.0 * math.pi
+from ._linops import TWO_PI, chain_matmul, resolve_steps
+from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -30,20 +28,6 @@ _GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
-
-
-def default_steps():
-    """Integrator steps per period; env var FLOQUET_STEPS overrides 4096."""
-    raw = os.environ.get("FLOQUET_STEPS")
-    if raw is None:
-        return 4096
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"FLOQUET_STEPS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("FLOQUET_STEPS must be >= 1")
-    return value
 
 
 def as_hermitian(h, tol=_HERMITIAN_TOL):
@@ -66,10 +50,9 @@ def unitarity_defect(u):
 
 @dataclass(frozen=True, eq=False)
 class Unitary:
-    """A unitary propagator together with the time span (t_start, t_end) it covers."""
+    """A unitary propagator."""
 
     matrix: np.ndarray
-    span: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -79,11 +62,6 @@ class Unitary:
         if defect > _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)
@@ -138,10 +116,6 @@ class QuasiSpectrum:
             raise ValueError("quasienergies outside the first zone")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def zone(self):
-        return (-0.5 * self.omega, 0.5 * self.omega)
-
 
 def reduce_to_zone(values, omega):
     """Map values into (-omega/2, omega/2] by subtracting multiples of omega."""
@@ -168,7 +142,7 @@ def expm_hermitian(h, t):
         raise ValueError("duration must be finite")
     w, v = np.linalg.eigh(hm)
     u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return Unitary(u, (0.0, t))
+    return Unitary(u)
 
 
 def step_propagator(pattern):
@@ -178,7 +152,7 @@ def step_propagator(pattern):
     u = np.eye(pattern.dim, dtype=complex)
     for h, tau in pattern.steps:
         u = expm_hermitian(h, tau).matrix @ u
-    return Unitary(u, (0.0, pattern.period))
+    return Unitary(u)
 
 
 def step_evolve(pattern, t):
@@ -206,7 +180,7 @@ def step_evolve(pattern, t):
         dt = min(tau, left)
         u = expm_hermitian(h, dt).matrix @ u
         left -= dt
-    return Unitary(u, (0.0, t))
+    return Unitary(u)
 
 
 def _expm_batch(hs, dt):
@@ -259,11 +233,7 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     Unitary
         U(t_end, t_start), exactly unitary per step up to roundoff.
     """
-    if n_steps is None:
-        n_steps = default_steps()
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = resolve_steps(n_steps)
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     t_start = float(t_start)
@@ -271,7 +241,7 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     span = t_end - t_start
     if span == 0.0:
         dim = as_hermitian(h(t_start)).shape[0]
-        return Unitary(np.eye(dim, dtype=complex), (t_start, t_end))
+        return Unitary(np.eye(dim, dtype=complex))
     dt = span / n_steps
     base = t_start + dt * np.arange(n_steps)
     if order == 2:
@@ -282,7 +252,7 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
         first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
         second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
         steps = np.matmul(second, first)
-    return Unitary(chain_matmul(steps), (t_start, t_end))
+    return Unitary(chain_matmul(steps))
 
 
 def floquet_hamiltonian(u, t_period):
@@ -325,7 +295,7 @@ def epicycle(h, f, t, n_steps=None):
     """
     u = evolve(h, t, n_steps)
     g = u.matrix @ expm_hermitian(f, -float(t)).matrix
-    return Unitary(g, (0.0, float(t)))
+    return Unitary(g)
 
 
 def instantaneous_spectrum(h):

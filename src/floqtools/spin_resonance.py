@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linops import TWO_PI, resolve_steps
 from .propagator import (
     SIGMA_X,
     SIGMA_Y,
-    TWO_PI,
-    default_steps,
     evolve,
     expm_hermitian,
     quasienergies,
@@ -87,7 +86,7 @@ def verify_factorization(params, t_grid, n_steps=None):
     period (default 32768, chosen so the residual is integrator-limited well
     below 1e-7 for moderate couplings).
     """
-    per_period = _VERIFY_STEPS_PER_PERIOD if n_steps is None else int(n_steps)
+    per_period = _VERIFY_STEPS_PER_PERIOD if n_steps is None else resolve_steps(n_steps)
     generator = spin_floquet_generator(params)
     period = params.period
     worst = 0.0

@@ -44,6 +44,7 @@ from floqtools import (
     vector_potential_rotating,
     TrapField,
 )
+from planar_oracle import planar_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,8 +220,8 @@ def test_a9_property_suite():
     if np.abs(u_z.matrix - expm_hermitian(h_static, 1.0).matrix).max() > 1e-10:
         failures.append("commuting drive cancellation")
 
-    # rotating-frame reconstruction matches the direct planar flow
-    direct = planar_monodromy(offset)
+    # rotating-frame reconstruction matches the direct 4x4 planar flow
+    direct = planar_flow(offset)
     if np.abs(direct - reconstruct_planar(*rotating_frame_reduction(offset))).max() > 1e-7:
         failures.append("frame reconstruction")
 

@@ -50,6 +50,43 @@ def test_no_root_in_bracket_exits_3(capsys):
     assert "bracket" in capsys.readouterr().err
 
 
+def test_zero_steps_is_a_configuration_error(capsys):
+    code = run_cli("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "2",
+                   "--beta0-max", "3", "--points", "3", "--steps", "0")
+    assert code == 2
+    assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "0", "--beta0-max", "NaN",
+      "--points", "3"), "--beta0-max"),
+    (("planar-loop", "--beta0", "0.785", "--beta1", "inf", "--omega", "6.28",
+      "--periods", "24"), "--beta1"),
+    (("spin-spectrum", "--mu", "1", "--B", "nan", "--omega", "1"), "--B"),
+    (("osc-loop-find", "--profile", CONST_PROFILE, "--angle", "nan",
+      "--bracket", "1", "2"), "--angle"),
+])
+def test_non_finite_option_exits_2_naming_it(argv, field, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert f"argument {field}" in capsys.readouterr().err
+
+
+def test_non_finite_profile_number_exits_2_naming_it(capsys):
+    code = run_cli("osc-spectrum", "--profile", '{"kind": "sin", "beta0": NaN, "omega": 1}',
+                   "--beta0-min", "0", "--beta0-max", "1", "--points", "3")
+    assert code == 2
+    assert "'beta0'" in capsys.readouterr().err
+
+
+def test_non_finite_pattern_entry_exits_2(capsys):
+    pattern = '{"steps": [{"hamiltonian": [[NaN, 0], [0, 1]], "duration": 1}]}'
+    code = run_cli("step-floquet", "--pattern", pattern)
+    assert code == 2
+    assert "hamiltonian" in capsys.readouterr().err
+
+
 def test_osc_spectrum_is_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -98,6 +135,36 @@ def test_osc_trajectory_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,q,p"
     assert len(lines) == 18
+
+
+def exact_steps_state(steps, t, q, p):
+    """(q, p) at time t from one closed-form rotation per constant piece."""
+    start = 0.0
+    while True:
+        for beta, tau in steps:
+            dt = min(tau, t - start)
+            c, s = math.cos(beta * dt), math.sin(beta * dt)
+            q, p = c * q + s / beta * p, -beta * s * q + c * p
+            start += tau
+            if start >= t:
+                return q, p
+
+
+def test_osc_trajectory_keeps_steps_ending_next_to_a_period_boundary(tmp_path):
+    # A sample interval here ends one ulp below a period boundary, right
+    # after t = 17.41; all of it must still be integrated.
+    steps = [[2.0289493259295535, 0.469875758173911],
+             [0.5847306262912656, 0.4282258391809993],
+             [0.9669841983845213, 0.2634220135946851]]
+    out = tmp_path / "path.csv"
+    code = run_cli("osc-trajectory", "--profile", json.dumps({"kind": "steps", "steps": steps}),
+                   "--t-end", "25.330642892854875", "--samples", "400", "-o", str(out))
+    assert code == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    exact = np.array([exact_steps_state(steps, t, 1.0, 0.0) for t in rows[:, 0]])
+    late = rows[:, 0] > 17.41
+    assert late.sum() > 100
+    assert np.abs(rows[:, 1:] - exact).max() < 1e-9
 
 
 def test_planar_loop_report(tmp_path):

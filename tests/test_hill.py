@@ -142,6 +142,14 @@ def test_rectangular_loop_matches_transcendental_oracle():
     assert abs(beta0 - oracle) < 1e-6
 
 
+def test_sinusoidal_loop_search_makes_few_monodromy_calls(monodromy_calls):
+    # the A3 acceptance search: Brent's method needs far fewer trace
+    # evaluations than the 30 that bisection spends on xtol = 1e-8
+    beta0 = find_loop_beta(sinusoid_family(), math.pi / 2, (1.5, 3.0), n_steps=4096)
+    assert abs(beta0 - 2.21231) <= 1e-3
+    assert len(monodromy_calls) <= 12
+
+
 def test_find_loop_beta_reports_missing_root():
     with pytest.raises(NoRootError):
         find_loop_beta(constant_family(), math.pi / 2, (2.0, 2.5))

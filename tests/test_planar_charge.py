@@ -20,7 +20,7 @@ from floqtools import (
     stability_threshold,
     symplectic_defect,
 )
-from floqtools.planar_charge import _planar_blocks
+from planar_oracle import planar_blocks, planar_flow, planar_path
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,7 +70,7 @@ def test_frozen_step_block_matches_matrix_exponential():
     for _ in range(5):
         beta = float(rng.uniform(-2.0, 2.0))
         dt = float(rng.uniform(0.05, 0.8))
-        block = _planar_blocks(np.array([beta]), np.array([dt]))[0]
+        block = planar_blocks(np.array([beta]), np.array([dt]))[0]
         assert np.abs(block - scipy.linalg.expm(planar_generator(beta) * dt)).max() < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_planar_monodromy_is_symplectic(profile):
     DriveProfile.offset_sinusoid(REFERENCE_BETA0, REFERENCE_BETA1, TWO_PI),
 ])
 def test_rotating_frame_reconstruction_matches_direct_flow(profile):
-    direct = planar_monodromy(profile)
+    direct = planar_flow(profile)
     theta, m_radial = rotating_frame_reduction(profile)
     assert np.abs(direct - reconstruct_planar(theta, m_radial)).max() < 1e-7
 
@@ -172,6 +172,14 @@ def test_threshold_requires_a_bracketing_interval():
         stability_threshold(TWO_PI, alpha_bracket=(0.1, 0.2))
 
 
+def test_threshold_and_polish_each_make_few_monodromy_calls(monodromy_calls):
+    stability_threshold(TWO_PI)
+    assert 3 <= len(monodromy_calls) <= 12
+    monodromy_calls.clear()
+    polish_loop_beta1(math.pi / 4, REFERENCE_BETA1, TWO_PI, 24)
+    assert 3 <= len(monodromy_calls) <= 12
+
+
 # ---------- trajectories ----------
 
 
@@ -194,3 +202,16 @@ def test_reference_loop_trajectory_closes():
     diameter = np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))
     closure = np.linalg.norm(coords[-1] - coords[0])
     assert closure < 1e-2 * diameter
+
+
+@pytest.mark.parametrize("profile", [
+    DriveProfile.constant(1.1, 1.0),
+    DriveProfile.from_steps(((1.7, 0.3), (-0.4, 0.45), (0.9, 0.25))),
+    DriveProfile.sinusoid(2.0, TWO_PI),
+    DriveProfile.offset_sinusoid(REFERENCE_BETA0, REFERENCE_BETA1, TWO_PI),
+])
+def test_planar_trajectory_matches_direct_4x4_stepping(profile):
+    state0 = (1.0, -0.3, 0.2, 0.5)
+    path = planar_trajectory(profile, state0, 3.7, n_steps=300)
+    direct = planar_path(profile, state0, 3.7, 300)
+    assert np.abs(path - direct).max() < 1e-12

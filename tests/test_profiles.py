@@ -121,3 +121,48 @@ def test_integration_segments_midpoints_for_sinusoid():
     dts, betas = integration_segments(profile, 0.0, 1.0, 4)
     assert_allclose(dts, np.full(4, 0.25))
     assert_allclose(betas, np.sin(TWO_PI * (np.arange(4) + 0.5) / 4))
+
+
+def test_step_segments_cover_every_sample_interval():
+    # In 33 of these 24,000 intervals a piece ends one ulp below a period
+    # boundary, where a floor(t / period) lookup loses the rest of the interval.
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        profile = DriveProfile.from_steps(
+            [(rng.uniform(0.0, 2.5), rng.uniform(0.2, 1.2)) for _ in range(3)])
+        times = np.linspace(0.0, rng.uniform(10.0, 30.0), 401)
+        for a, b in zip(times[:-1], times[1:]):
+            dts, _ = integration_segments(profile, a, b, 1)
+            assert abs(dts.sum() - (b - a)) < 1e-12
+            assert np.all(dts > 0)
+
+
+def test_step_segments_cover_intervals_far_from_zero():
+    # Near t = 16384 one ulp exceeds 1e-12 of the period, so fl(16384 + 0.1)
+    # sits 1.5e-12 below the step edge it stands for.
+    profile = DriveProfile.from_steps([(1.0, 0.1), (2.0, 0.9)])
+    times = np.linspace(16380.0, 16400.0, 2001)
+    for a, b in zip(times[:-1], times[1:]):
+        dts, _ = integration_segments(profile, a, b, 1)
+        assert abs(dts.sum() - (b - a)) < 1e-12
+        assert np.all(dts > 0)
+    dts, betas = integration_segments(profile, 16384.0 + 0.1, 16384.0 + 0.12, 1)
+    assert_allclose(dts, [0.02], atol=1e-11)
+    assert_allclose(betas, [2.0])
+
+
+def test_integration_segments_rejects_zero_steps():
+    with pytest.raises(ValueError, match="n_steps"):
+        integration_segments(DriveProfile.sinusoid(1.0, TWO_PI), 0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"kind": "sin", "beta0": NaN, "omega": 1.0}', "'beta0'"),
+    ('{"kind": "offset_sin", "beta0": 1.0, "beta1": -Infinity, "omega": 1.0}', "'beta1'"),
+    ('{"kind": "constant", "beta0": 1.0, "period": Infinity}', "'period'"),
+    ('{"kind": "constant", "beta0": 1%s}' % ("0" * 400), "'beta0'"),
+    ('{"kind": "steps", "steps": [[1.0, 0.5], [NaN, 0.5]]}', r"'steps'\[1\]"),
+])
+def test_json_rejects_non_finite_numbers(text, field):
+    with pytest.raises(ProfileError, match=field):
+        profile_from_json(text)

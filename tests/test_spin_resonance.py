@@ -98,6 +98,11 @@ def test_factorization_residual_is_second_order():
     assert 3.5 < coarse / fine < 4.5
 
 
+def test_factorization_rejects_zero_steps():
+    with pytest.raises(ValueError, match="n_steps"):
+        verify_factorization(SpinParams(1.0, 1.0, 1.0), (5.0,), n_steps=0)
+
+
 # ---------- resonance spacing ----------
 
 
