@@ -20,6 +20,7 @@ from ._linops import TWO_PI
 from .profiles import (
     DriveProfile,
     ProfileError,
+    beta_period_integral,
     is_finite_number,
     profile_from_json,
     with_amplitude,
@@ -84,6 +85,17 @@ def _finite_float(text):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    """argparse type for counts: the value must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -173,7 +185,7 @@ def _cmd_planar_loop(args):
     profile = DriveProfile.offset_sinusoid(args.beta0, args.beta1, args.omega)
     is_loop, deviation = planar_charge.planar_loop_check(
         profile, args.periods, args.tol, args.steps)
-    theta, _ = planar_charge.rotating_frame_reduction(profile, args.periods, args.steps)
+    theta = args.periods * beta_period_integral(profile)
     report = {
         "beta0": args.beta0,
         "beta1": args.beta1,
@@ -203,35 +215,28 @@ def _cmd_stability_scan(args):
         _emit_json({"alpha_star": alpha_star, "omega": args.omega}, args.output)
         return 0
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
-    rows = []
-    for alpha in grid:
-        profile = DriveProfile.sinusoid(2.0 * alpha * args.omega, args.omega)
-        trace = float(np.trace(hill.monodromy(profile, args.steps)))
-        rows.append((float(alpha), trace, hill.classify_trace(trace) != hill.HYPERBOLIC))
+    family = lambda alpha: DriveProfile.sinusoid(2.0 * alpha * args.omega, args.omega)  # noqa: E731
+    rows = [(alpha, trace, stability != hill.HYPERBOLIC)
+            for alpha, trace, stability, _ in hill.omega_F_scan(family, grid, args.steps)]
     _emit_csv(("alpha", "trace", "stable"), rows, args.output)
     return 0
 
 
 def _cmd_spin_spectrum(args):
-    if args.points is not None:
+    if args.points is None:
+        params = spin_resonance.SpinParams(args.mu, args.B, args.omega)
+        points = [(abs(args.mu * args.B) / args.omega, params)]
+    else:
         if args.mu == 0:
             raise ProfileError("field 'mu' must be nonzero for a ratio sweep")
         ratios = np.logspace(math.log10(args.ratio_min), math.log10(args.ratio_max),
                              args.points)
-    else:
-        ratios = [abs(args.mu * args.B) / args.omega]
-    rows = []
-    for ratio in ratios:
-        if args.points is not None:
-            params = spin_resonance.SpinParams(
-                args.mu, ratio * args.omega / abs(args.mu), args.omega)
-        else:
-            params = spin_resonance.SpinParams(args.mu, args.B, args.omega)
-        rows.append((
-            float(ratio),
-            spin_resonance.spin_quasienergy_spacing(params),
-            spin_resonance.spin_spacing_from_propagator(params, args.steps),
-        ))
+        points = [(ratio, spin_resonance.SpinParams(
+            args.mu, ratio * args.omega / abs(args.mu), args.omega)) for ratio in ratios]
+    rows = [(float(ratio),
+             spin_resonance.spin_quasienergy_spacing(params),
+             spin_resonance.spin_spacing_from_propagator(params, args.steps))
+            for ratio, params in points]
     _emit_csv(("muB_over_homega", "deltaE_formula", "deltaE_numeric"), rows, args.output)
     return 0
 
@@ -292,7 +297,7 @@ def build_parser():
     p.add_argument("--profile", required=True, help="drive profile JSON (file or inline)")
     p.add_argument("--beta0-min", type=_finite_float, required=True)
     p.add_argument("--beta0-max", type=_finite_float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=_positive_int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_osc_spectrum)
 
@@ -310,7 +315,7 @@ def build_parser():
     p.add_argument("--q0", type=_finite_float, default=1.0)
     p.add_argument("--p0", type=_finite_float, default=0.0)
     p.add_argument("--t-end", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_positive_int, default=1024)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_osc_trajectory)
 
@@ -318,7 +323,7 @@ def build_parser():
     p.add_argument("--beta0", type=_finite_float, required=True)
     p.add_argument("--beta1", type=_finite_float, required=True)
     p.add_argument("--omega", type=_finite_float, required=True)
-    p.add_argument("--periods", type=int, required=True)
+    p.add_argument("--periods", type=_positive_int, required=True)
     p.add_argument("--tol", type=_finite_float, default=1e-2)
     p.add_argument("--polish", action="store_true",
                    help="also refine beta1 onto the exact loop")
@@ -329,7 +334,7 @@ def build_parser():
     p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--alpha-min", type=_finite_float, default=0.0)
     p.add_argument("--alpha-max", type=_finite_float, default=1.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--find-threshold", action="store_true",
                    help="locate the first stability boundary instead of scanning")
     p.add_argument("--bracket", type=_finite_float, nargs=2, default=(0.3, 0.8),
@@ -341,7 +346,7 @@ def build_parser():
     p.add_argument("--mu", type=_finite_float, required=True)
     p.add_argument("--B", type=_finite_float, default=0.0)
     p.add_argument("--omega", type=_finite_float, required=True)
-    p.add_argument("--points", type=int, default=None,
+    p.add_argument("--points", type=_positive_int, default=None,
                    help="log-grid sweep of mu B / omega instead of a single point")
     p.add_argument("--ratio-min", type=_finite_float, default=1e-3)
     p.add_argument("--ratio-max", type=_finite_float, default=1e3)

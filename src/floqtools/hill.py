@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._linops import TWO_PI, chain_matmul, oscillator_blocks, resolve_steps
-from .profiles import DriveProfile, integration_segments
+from .profiles import DriveProfile, integration_segments, sample_segments
 from .propagator import reduce_to_zone
 
 ELLIPTIC = "elliptic"
@@ -177,29 +177,29 @@ def _radial_samples(profile, state0, t_end, n_steps):
     """Radial flow of q'' + beta(t)^2 q = 0 on n_steps uniform sample intervals.
 
     state0 is a (q, p) vector or a 2 x k array of them as columns. Returns
-    (times, states) with states[k] the image of state0 at times[k]; steps
-    profiles are split at the drive discontinuities.
+    (times, states, angles): states[k] is the image of state0 at times[k]
+    and angles[k] the sum of beta dt up to it. The grid is cut once by
+    sample_segments, so steps profiles are split at the drive
+    discontinuities and the other kinds take one midpoint per interval.
     """
-    n = resolve_steps(n_steps)
-    times = np.linspace(0.0, float(t_end), n + 1)
+    times = np.linspace(0.0, float(t_end), resolve_steps(n_steps) + 1)
+    dts, betas, ends = sample_segments(profile, times)
     state = np.asarray(state0, dtype=float)
-    states = np.empty((n + 1,) + state.shape)
-    states[0] = state
-    for k in range(n):
-        dts, betas = integration_segments(profile, times[k], times[k + 1], 1)
-        for block in oscillator_blocks(betas, dts):
-            state = block @ state
-        states[k + 1] = state
-    return times, states
+    states = [state]
+    for block in oscillator_blocks(betas, dts):
+        state = block @ state
+        states.append(state)
+    angles = np.concatenate([[0.0], np.cumsum(betas * dts)])
+    return times, np.array(states)[ends], angles[ends]
 
 
 def classical_trajectory(profile, state0, t_end, n_steps=None):
     """Phase-plane path of (q, p), sampled on a uniform grid.
 
     Returns an array with rows (t, q, p); steps profiles are integrated
-    exactly by splitting sample intervals at the drive discontinuities.
+    exactly by splitting the grid at the drive discontinuities.
     """
-    times, states = _radial_samples(profile, state0, t_end, n_steps)
+    times, states, _ = _radial_samples(profile, state0, t_end, n_steps)
     return np.column_stack([times, states])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import hill
 from ._linops import TWO_PI, rotation2
-from .profiles import DriveProfile, beta_period_integral, integration_segments
+from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
 SYMPLECTIC_FORM_4 = np.block([
@@ -148,12 +148,7 @@ def planar_trajectory(profile, state0, t_end, n_steps=None):
     reconstruct_planar.
     """
     q1, q2, p1, p2 = np.asarray(state0, dtype=float)
-    times, radial = hill._radial_samples(profile, [[q1, q2], [p1, p2]], t_end, n_steps)
-    # One segment per sample interval for the sinusoidal kinds; exact pieces,
-    # whose running integral is linear in between, for the others.
-    dts, betas = integration_segments(profile, 0.0, times[-1], times.size - 1)
-    ends = np.concatenate([[0.0], np.cumsum(dts)])
-    angles = np.interp(times, ends, np.concatenate([[0.0], np.cumsum(betas * dts)]))
+    times, radial, angles = hill._radial_samples(profile, [[q1, q2], [p1, p2]], t_end, n_steps)
     # Rotate the rows (q1, q2) and (p1, p2) of every sample by its angle.
     planes = np.einsum("kij,ljk->kil", radial, rotation2(angles))
     return np.column_stack([times, planes.reshape(times.size, 4)])

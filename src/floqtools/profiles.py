@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,10 +91,15 @@ def eval_beta(profile, t):
         out = profile.beta0 + profile.beta1 * np.sin(profile.omega * tt)
     else:
         local = np.mod(tt, profile.period)
-        edges = np.cumsum([tau for _, tau in profile.steps])
+        edges = _step_ends(profile)
         idx = np.minimum(np.searchsorted(edges, local, side="right"), len(edges) - 1)
         out = np.asarray([beta for beta, _ in profile.steps])[idx]
     return out if tt.ndim else float(out)
+
+
+def _step_ends(profile):
+    """Ends of the steps within a period: the running sums of the durations."""
+    return list(accumulate(tau for _, tau in profile.steps))
 
 
 def beta_period_integral(profile):
@@ -120,35 +126,36 @@ def with_amplitude(profile, beta0):
     return replace(profile, beta0=float(beta0))
 
 
-def _step_segments(profile, t_start, t_end):
-    betas = [beta for beta, _ in profile.steps]
-    period = profile.period
-    edges = np.concatenate([[0.0], np.cumsum([tau for _, tau in profile.steps])])
-    # A point within guard below an edge belongs to the next piece, and a
-    # piece ending within guard of t_end is stretched to it. The guard grows
-    # with ulp(t_end), the rounding of k * period + edge far from t = 0.
-    guard = max(1e-12 * period, 4.0 * math.ulp(float(t_end)))
-    t = float(t_start)
-    k = math.floor((t + guard) / period)
-    idx = int(np.searchsorted(edges, t - k * period + guard, side="right")) - 1
-    idx = min(max(idx, 0), len(betas) - 1)
-    out_dt, out_beta = [], []
-    # Pieces are visited by index (period k, step idx), so the walk ends
-    # after at most one piece per step past t_end; a piece that rounding
-    # left empty is skipped.
-    while True:
-        seg_end = k * period + edges[idx + 1]
-        last = seg_end >= t_end - guard
-        nxt = t_end if last else seg_end
-        if nxt > t:
-            out_dt.append(nxt - t)
-            out_beta.append(betas[idx])
-            t = nxt
-        if last:
-            return np.asarray(out_dt), np.asarray(out_beta)
-        idx += 1
-        if idx == len(betas):
-            k, idx = k + 1, 0
+def sample_segments(profile, times):
+    """Frozen-coefficient segments (dts, betas, ends) of a sample grid.
+
+    The grid is cut once: at the sample times and, for a steps profile, at
+    the drive edges k * period + end_i between them. An edge within guard
+    of a sample time is dropped, so that time joins the piece past the edge;
+    the guard grows with ulp(times[-1]), the rounding of k * period + end_i
+    far from t = 0. Each segment takes beta at its midpoint, which is exact
+    for the piecewise-constant kinds. ends[k] is the number of segments
+    before times[k].
+    """
+    times = np.asarray(times, dtype=float)
+    if (times[1:] < times[:-1]).any():
+        raise ValueError("t_end must not precede t_start")
+    cuts = times
+    ends = np.arange(times.size)
+    if profile.kind == "steps" and times.size > 1:
+        period = profile.period
+        guard = max(1e-12 * period, 4.0 * math.ulp(float(times[-1])))
+        periods = range(math.floor(times[0] / period), math.floor(times[-1] / period) + 1)
+        edges = np.array([k * period + end for k in periods for end in _step_ends(profile)])
+        # after[i] indexes the first sample time at or past edges[i], clamped
+        # to [1, n - 1]; an edge outside the grid then fails the keep test.
+        after = times[1:-1].searchsorted(edges) + 1
+        keep = (edges > times[after - 1] + guard) & (edges < times[after] - guard)
+        edges, after = edges[keep], after[keep]
+        cuts = np.sort(np.concatenate([times, edges]))
+        ends = ends + after.searchsorted(ends, side="right")
+    dts = cuts[1:] - cuts[:-1]
+    return dts, eval_beta(profile, cuts[:-1] + 0.5 * dts), ends
 
 
 def integration_segments(profile, t_start, t_end, n_steps):
@@ -166,7 +173,7 @@ def integration_segments(profile, t_start, t_end, n_steps):
     if profile.kind == "constant":
         return np.array([span]), np.array([profile.beta0])
     if profile.kind == "steps":
-        return _step_segments(profile, t_start, t_end)
+        return sample_segments(profile, [t_start, t_end])[:2]
     n = resolve_steps(n_steps)
     dt = span / n
     mids = t_start + (np.arange(n) + 0.5) * dt

@@ -73,6 +73,29 @@ def test_non_finite_option_exits_2_naming_it(argv, field, capsys):
     assert f"argument {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "0", "--beta0-max", "1",
+      "--points", "0"), "--points"),
+    (("stability-scan", "--omega", "6.28", "--points", "-2"), "--points"),
+    (("spin-spectrum", "--mu", "1", "--omega", "1", "--points", "1.5"), "--points"),
+    (("osc-trajectory", "--profile", SIN_PROFILE, "--t-end", "1", "--samples", "0"),
+     "--samples"),
+    (("planar-loop", "--beta0", "0.785", "--beta1", "0.946", "--omega", "6.28",
+      "--periods", "0"), "--periods"),
+])
+def test_non_positive_count_exits_2_naming_it(argv, field, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert f"argument {field}: expected a positive integer" in capsys.readouterr().err
+
+
+def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):
+    code = run_cli("spin-spectrum", "--mu", "1", "--B", "1", "--omega", "0")
+    assert code == 2
+    assert "omega" in capsys.readouterr().err
+
+
 def test_non_finite_profile_number_exits_2_naming_it(capsys):
     code = run_cli("osc-spectrum", "--profile", '{"kind": "sin", "beta0": NaN, "omega": 1}',
                    "--beta0-min", "0", "--beta0-max", "1", "--points", "3")
@@ -167,23 +190,25 @@ def test_osc_trajectory_keeps_steps_ending_next_to_a_period_boundary(tmp_path):
     assert np.abs(rows[:, 1:] - exact).max() < 1e-9
 
 
-def test_planar_loop_report(tmp_path):
+def test_planar_loop_report(tmp_path, monodromy_calls):
     out = tmp_path / "loop.json"
     code = run_cli("planar-loop", "--beta0", "0.78539", "--beta1", "0.94595",
                    "--omega", str(TWO_PI), "--periods", "24", "-o", str(out))
     assert code == 0
+    assert len(monodromy_calls) == 1
     report = json.loads(out.read_text())
     assert report["is_loop"] is True
     assert report["deviation"] < 1e-2
     assert abs(report["theta"] - 6 * math.pi) < 1e-3
 
 
-def test_planar_loop_polish(tmp_path):
+def test_planar_loop_polish(tmp_path, monodromy_calls):
     out = tmp_path / "loop.json"
     code = run_cli("planar-loop", "--beta0", str(math.pi / 4), "--beta1", "0.94595",
                    "--omega", str(TWO_PI), "--periods", "24", "--polish",
                    "-o", str(out))
     assert code == 0
+    assert len(monodromy_calls) <= 10
     report = json.loads(out.read_text())
     assert abs(report["beta1_polished"] - 0.94595) < 1e-3
     assert report["polished_deviation"] < 1e-6

@@ -19,6 +19,7 @@ from floqtools import (
     sinusoid_family,
 )
 from floqtools._linops import rotation2
+from stepping_oracle import TRAJECTORY_CASES, interval_samples
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,3 +208,11 @@ def test_rectangular_loop_trajectory_closes():
     profile = DriveProfile.from_steps(((2.15375, 0.5), (0.0, 0.5)))
     path = classical_trajectory(profile, (1.0, 0.0), 4.0, n_steps=512)
     assert np.abs(path[-1, 1:] - path[0, 1:]).max() < 1e-3
+
+
+@pytest.mark.parametrize("profile, t_end, n", TRAJECTORY_CASES)
+def test_trajectory_equals_per_interval_stepping(profile, t_end, n, oscillator_block_calls):
+    path = classical_trajectory(profile, (1.0, -0.3), t_end, n_steps=n)
+    assert len(oscillator_block_calls) == 1
+    times, states, _ = interval_samples(profile, (1.0, -0.3), t_end, n)
+    assert np.array_equal(path, np.column_stack([times, states]))

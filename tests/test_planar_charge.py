@@ -21,6 +21,7 @@ from floqtools import (
     symplectic_defect,
 )
 from planar_oracle import planar_blocks, planar_flow, planar_path
+from stepping_oracle import TRAJECTORY_CASES, interval_samples
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,3 +216,16 @@ def test_planar_trajectory_matches_direct_4x4_stepping(profile):
     path = planar_trajectory(profile, state0, 3.7, n_steps=300)
     direct = planar_path(profile, state0, 3.7, 300)
     assert np.abs(path - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("profile, t_end, n", TRAJECTORY_CASES)
+def test_planar_trajectory_equals_per_interval_stepping(profile, t_end, n,
+                                                        oscillator_block_calls):
+    path = planar_trajectory(profile, (1.0, -0.3, 0.2, 0.5), t_end, n_steps=n)
+    assert len(oscillator_block_calls) == 1
+    times, radial, angles = interval_samples(profile, [[1.0, -0.3], [0.2, 0.5]], t_end, n)
+    c, s = np.cos(angles), np.sin(angles)
+    q1, q2, p1, p2 = radial[:, 0, 0], radial[:, 0, 1], radial[:, 1, 0], radial[:, 1, 1]
+    expected = np.column_stack([times, c * q1 + s * q2, c * q2 - s * q1,
+                                c * p1 + s * p2, c * p2 - s * p1])
+    assert np.array_equal(path, expected)

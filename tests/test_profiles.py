@@ -14,7 +14,7 @@ from floqtools import (
     profile_to_json,
     with_amplitude,
 )
-from floqtools.profiles import integration_segments
+from floqtools.profiles import integration_segments, sample_segments
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,6 +149,18 @@ def test_step_segments_cover_intervals_far_from_zero():
     dts, betas = integration_segments(profile, 16384.0 + 0.1, 16384.0 + 0.12, 1)
     assert_allclose(dts, [0.02], atol=1e-11)
     assert_allclose(betas, [2.0])
+
+
+def test_sample_segments_cut_a_grid_far_from_zero():
+    profile = DriveProfile.from_steps([(1.0, 0.1), (2.0, 0.9)])
+    times = np.linspace(16380.0, 16400.0, 2001)
+    dts, betas, ends = sample_segments(profile, times)
+    assert np.all(dts > 0)
+    assert abs(dts.sum() - 20.0) < 1e-9
+    assert ends[0] == 0 and ends[-1] == dts.size
+    spans = np.add.reduceat(dts, ends[:-1])
+    assert np.abs(spans - np.diff(times)).max() < 1e-12
+    assert set(betas) == {1.0, 2.0}
 
 
 def test_integration_segments_rejects_zero_steps():

@@ -144,6 +144,19 @@ def test_evolve_accepts_vectorized_callable():
     assert_allclose(evolve(h, 1.0, 512).matrix, scalar.matrix, atol=1e-14)
 
 
+def test_evolve_checks_each_sample_against_its_own_scale():
+    # The 2e-11 defect is below 1e-12 of the stack's largest entry but not
+    # of its own matrix.
+    def h(t):
+        t = np.asarray(t)
+        stack = np.multiply.outer(np.where(t < 0.5, 1e3, 1.0), SIGMA_X)
+        stack[t >= 0.5, 0, 1] += 2e-11
+        return stack
+
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(h, 1.0, 4)
+
+
 def test_evolve_rejects_zero_steps():
     with pytest.raises(ValueError):
         evolve(lambda t: SIGMA_Z, 1.0, n_steps=0)
