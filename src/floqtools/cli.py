@@ -3,7 +3,7 @@
 All commands emit CSV or JSON data suitable for external plotting; output is
 deterministic byte for byte for identical invocations. Exit codes: 0 on
 success, 2 for configuration errors, 3 for numerical failures such as a
-root bracket without a sign change.
+root bracket without a sign change or a result that is not finite.
 """
 from __future__ import annotations
 
@@ -39,26 +39,26 @@ def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"result is not finite: {value}")
         return format(value, ".12g")
     return str(value)
 
 
-def _write_text(text, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+def _render(result):
+    """Output text of a command: JSON for a dict, CSV for a (header, rows) pair.
 
-
-def _emit_csv(header, rows, path):
+    Raises FloatingPointError when the result holds a non-finite number.
+    """
+    if isinstance(result, dict):
+        try:
+            return json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            raise FloatingPointError("result is not finite") from None
+    header, rows = result
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _write_text("\n".join(lines) + "\n", path)
-
-
-def _emit_json(obj, path):
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    return "\n".join(lines) + "\n"
 
 
 def _load_json_source(value, what):
@@ -152,8 +152,7 @@ def _cmd_osc_spectrum(args):
     profile = _load_profile(args.profile)
     grid = np.linspace(args.beta0_min, args.beta0_max, args.points)
     rows = hill.omega_F_scan(lambda b: with_amplitude(profile, b), grid, args.steps)
-    _emit_csv(("beta0", "trace", "stability", "omega_F"), rows, args.output)
-    return 0
+    return ("beta0", "trace", "stability", "omega_F"), rows
 
 
 def _cmd_osc_loop_find(args):
@@ -169,16 +168,14 @@ def _cmd_osc_loop_find(args):
     if order is not None:
         report["loop_deviation"] = hill.loop_deviation(
             hill.monodromy(family(beta0), args.steps), order)
-    _emit_json(report, args.output)
-    return 0
+    return report
 
 
 def _cmd_osc_trajectory(args):
     profile = _load_profile(args.profile)
     path = hill.classical_trajectory(profile, (args.q0, args.p0), args.t_end,
                                      args.samples)
-    _emit_csv(("t", "q", "p"), [tuple(row) for row in path], args.output)
-    return 0
+    return ("t", "q", "p"), path.tolist()
 
 
 def _cmd_planar_loop(args):
@@ -204,22 +201,19 @@ def _cmd_planar_loop(args):
             polished, args.periods, args.tol, args.steps)
         report["beta1_polished"] = beta1_star
         report["polished_deviation"] = polished_dev
-    _emit_json(report, args.output)
-    return 0
+    return report
 
 
 def _cmd_stability_scan(args):
     if args.find_threshold:
         alpha_star = planar_charge.stability_threshold(
             args.omega, tuple(args.bracket), args.steps)
-        _emit_json({"alpha_star": alpha_star, "omega": args.omega}, args.output)
-        return 0
+        return {"alpha_star": alpha_star, "omega": args.omega}
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
     family = lambda alpha: DriveProfile.sinusoid(2.0 * alpha * args.omega, args.omega)  # noqa: E731
     rows = [(alpha, trace, stability != hill.HYPERBOLIC)
             for alpha, trace, stability, _ in hill.omega_F_scan(family, grid, args.steps)]
-    _emit_csv(("alpha", "trace", "stable"), rows, args.output)
-    return 0
+    return ("alpha", "trace", "stable"), rows
 
 
 def _cmd_spin_spectrum(args):
@@ -229,6 +223,9 @@ def _cmd_spin_spectrum(args):
     else:
         if args.mu == 0:
             raise ProfileError("field 'mu' must be nonzero for a ratio sweep")
+        for option, bound in ("--ratio-min", args.ratio_min), ("--ratio-max", args.ratio_max):
+            if not bound > 0:
+                raise ProfileError(f"option {option} must be positive, got {bound:g}")
         ratios = np.logspace(math.log10(args.ratio_min), math.log10(args.ratio_max),
                              args.points)
         points = [(ratio, spin_resonance.SpinParams(
@@ -237,8 +234,7 @@ def _cmd_spin_spectrum(args):
              spin_resonance.spin_quasienergy_spacing(params),
              spin_resonance.spin_spacing_from_propagator(params, args.steps))
             for ratio, params in points]
-    _emit_csv(("muB_over_homega", "deltaE_formula", "deltaE_numeric"), rows, args.output)
-    return 0
+    return ("muB_over_homega", "deltaE_formula", "deltaE_numeric"), rows
 
 
 def _cmd_step_floquet(args):
@@ -250,8 +246,7 @@ def _cmd_step_floquet(args):
     spectrum = quasienergies(step_propagator(pattern), pattern.period)
     for energy in spectrum.values:
         rows.append(("floquet", float(energy)))
-    _emit_csv(("line_kind", "energy"), rows, args.output)
-    return 0
+    return ("line_kind", "energy"), rows
 
 
 def _cmd_fields_probe(args):
@@ -267,7 +262,7 @@ def _cmd_fields_probe(args):
     limit = nodal_field(trap, args.t)
     fd = fields.magnetic_field_fd(lambda xx, tt: vector_potential(trap, xx, tt),
                                   x, args.t, args.h)
-    _emit_json({
+    return {
         "mode": args.mode,
         "x": list(map(float, x)),
         "t": args.t,
@@ -275,14 +270,12 @@ def _cmd_fields_probe(args):
         "magnetic_field_fd": list(map(float, fd)),
         "magnetic_field_nodal": list(map(float, limit)),
         "h": args.h,
-    }, args.output)
-    return 0
+    }
 
 
-def _add_common(parser):
-    parser.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+def _add_steps(parser, default="FLOQUET_STEPS or 4096"):
     parser.add_argument("--steps", type=int, default=None,
-                        help="integrator steps per period (default: FLOQUET_STEPS or 4096)")
+                        help=f"integrator steps per period (default: {default})")
 
 
 def build_parser():
@@ -298,7 +291,7 @@ def build_parser():
     p.add_argument("--beta0-min", type=_finite_float, required=True)
     p.add_argument("--beta0-max", type=_finite_float, required=True)
     p.add_argument("--points", type=_positive_int, required=True)
-    _add_common(p)
+    _add_steps(p)
     p.set_defaults(func=_cmd_osc_spectrum)
 
     p = sub.add_parser("osc-loop-find", help="amplitude where the Floquet angle hits a target")
@@ -307,7 +300,7 @@ def build_parser():
                    help="target Floquet angle omega_F*T in radians (default pi/2)")
     p.add_argument("--bracket", type=_finite_float, nargs=2, required=True,
                    metavar=("LO", "HI"))
-    _add_common(p)
+    _add_steps(p)
     p.set_defaults(func=_cmd_osc_loop_find)
 
     p = sub.add_parser("osc-trajectory", help="phase-plane trajectory of the driven oscillator")
@@ -316,7 +309,6 @@ def build_parser():
     p.add_argument("--p0", type=_finite_float, default=0.0)
     p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--samples", type=_positive_int, default=1024)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_osc_trajectory)
 
     p = sub.add_parser("planar-loop", help="loop check for the planar charge in an axial field")
@@ -327,7 +319,7 @@ def build_parser():
     p.add_argument("--tol", type=_finite_float, default=1e-2)
     p.add_argument("--polish", action="store_true",
                    help="also refine beta1 onto the exact loop")
-    _add_common(p)
+    _add_steps(p)
     p.set_defaults(func=_cmd_planar_loop)
 
     p = sub.add_parser("stability-scan", help="stability chart of the sinusoidally driven trap")
@@ -339,7 +331,7 @@ def build_parser():
                    help="locate the first stability boundary instead of scanning")
     p.add_argument("--bracket", type=_finite_float, nargs=2, default=(0.3, 0.8),
                    metavar=("LO", "HI"))
-    _add_common(p)
+    _add_steps(p)
     p.set_defaults(func=_cmd_stability_scan)
 
     p = sub.add_parser("spin-spectrum", help="resonance spacing of the rotating-field spin")
@@ -350,14 +342,13 @@ def build_parser():
                    help="log-grid sweep of mu B / omega instead of a single point")
     p.add_argument("--ratio-min", type=_finite_float, default=1e-3)
     p.add_argument("--ratio-max", type=_finite_float, default=1e3)
-    _add_common(p)
+    _add_steps(p, "max(4096, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega")
     p.set_defaults(func=_cmd_spin_spectrum)
 
     p = sub.add_parser("step-floquet",
                        help="instantaneous vs Floquet lines of a step pattern")
     p.add_argument("--pattern", required=True,
                    help="step pattern JSON (file or inline)")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_step_floquet)
 
     p = sub.add_parser("fields-probe", help="trap vector potential and its field")
@@ -368,23 +359,29 @@ def build_parser():
     p.add_argument("--t", type=_finite_float, default=0.0)
     p.add_argument("--mode", choices=("rotating", "standing"), default="rotating")
     p.add_argument("--h", type=_finite_float, default=1e-5, help="finite-difference step")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_fields_probe)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = _render(args.func(args))
     except (ProfileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except hill.NoRootError as exc:
+    except (hill.NoRootError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", newline="") as handle:
+            handle.write(text)
+    return 0
 
 
 def run():

@@ -140,6 +140,7 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
 
     Raises NoRootError when the bracket holds no sign change.
     """
+    n_steps = resolve_steps(n_steps)
     return _trace_root(lambda b: float(np.trace(monodromy(family(b), n_steps))),
                        2.0 * math.cos(target_angle), bracket, xtol,
                        "Floquet-angle crossing")
@@ -185,12 +186,12 @@ def _radial_samples(profile, state0, t_end, n_steps):
     times = np.linspace(0.0, float(t_end), resolve_steps(n_steps) + 1)
     dts, betas, ends = sample_segments(profile, times)
     state = np.asarray(state0, dtype=float)
-    states = [state]
-    for block in oscillator_blocks(betas, dts):
-        state = block @ state
-        states.append(state)
+    states = np.empty((len(dts) + 1,) + state.shape)
+    states[0] = state
+    for k, block in enumerate(oscillator_blocks(betas, dts), 1):
+        states[k] = state = block @ state
     angles = np.concatenate([[0.0], np.cumsum(betas * dts)])
-    return times, np.array(states)[ends], angles[ends]
+    return times, states[ends], angles[ends]
 
 
 def classical_trajectory(profile, state0, t_end, n_steps=None):

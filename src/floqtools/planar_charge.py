@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import TWO_PI, rotation2
+from ._linops import TWO_PI, resolve_steps, rotation2
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -113,6 +113,7 @@ def stability_threshold(omega, alpha_bracket=(0.3, 0.8), n_steps=None, xtol=1e-6
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
+    n_steps = resolve_steps(n_steps)
 
     def trace_at(alpha):
         profile = DriveProfile.sinusoid(2.0 * alpha * omega, omega)

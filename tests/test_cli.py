@@ -90,6 +90,62 @@ def test_non_positive_count_exits_2_naming_it(argv, field, capsys):
     assert f"argument {field}: expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("osc-loop-find", "--profile", CONST_PROFILE, "--bracket", "2", "2.5", "--steps", "0"),
+    ("stability-scan", "--omega", "6.28", "--find-threshold", "--steps", "0"),
+])
+def test_root_search_with_zero_steps_is_a_configuration_error(argv, capsys):
+    code = run_cli(*argv)
+    assert code == 2
+    assert "n_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, value", [("--ratio-min", "0"), ("--ratio-max", "-1")])
+def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, capsys):
+    code = run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--points", "3", bound, value)
+    assert code == 2
+    assert bound in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("osc-trajectory", "--profile", '{"kind":"constant","beta0":1e300}', "--t-end", "1e10",
+     "--samples", "2"),
+    ("stability-scan", "--omega", "1e300", "--alpha-min", "1e10", "--alpha-max", "1e11",
+     "--points", "2"),
+    ("planar-loop", "--beta0", "1e300", "--beta1", "1e300", "--omega", str(TWO_PI),
+     "--periods", "24"),
+])
+def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys):
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    out = tmp_path / "result"
+    assert run_cli(*argv, "-o", str(out)) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "0", "--beta0-max", "3",
+     "--points", "4", "--steps", "256"),
+    ("osc-loop-find", "--profile", CONST_PROFILE, "--bracket", "1", "2", "--steps", "256"),
+    ("osc-trajectory", "--profile", SIN_PROFILE, "--t-end", "2", "--samples", "8"),
+    ("planar-loop", "--beta0", "0.78539", "--beta1", "0.94595", "--omega", str(TWO_PI),
+     "--periods", "24", "--steps", "512"),
+    ("stability-scan", "--omega", str(TWO_PI), "--points", "3", "--steps", "256"),
+    ("spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1", "--steps", "256"),
+    ("step-floquet", "--pattern", TWO_STEP_PATTERN),
+    ("fields-probe", "--amplitude", "1", "--omega", "1", "--x", "0.1", "0", "0"),
+])
+def test_stdout_and_output_file_get_the_same_bytes(argv, tmp_path, capsys):
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "result"
+    assert run_cli(*argv, "-o", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed
+
+
 def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):
     code = run_cli("spin-spectrum", "--mu", "1", "--B", "1", "--omega", "0")
     assert code == 2
