@@ -33,6 +33,21 @@ def resolve_steps(n_steps):
     return n
 
 
+def require_finite(**values):
+    """Raise ValueError naming the first keyword whose value is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def finite_product(*factors):
+    """Product of the factors; FloatingPointError when finite factors overflow."""
+    result = math.prod(factors)
+    if math.isinf(result) and all(map(math.isfinite, factors)):
+        raise FloatingPointError("result is not finite: a drive amplitude overflows")
+    return result
+
+
 def chain_matmul(mats):
     """Time-ordered product mats[-1] @ ... @ mats[0] by pairwise reduction.
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linops import require_finite
+
 _AXIS_TOL = 1e-12
 
 
@@ -27,22 +29,22 @@ class TrapField:
     axis_s: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if not self.light_speed > 0:
-            raise ValueError("light_speed must be positive")
+        require_finite(amplitude=self.amplitude, omega=self.omega, light_speed=self.light_speed)
+        for name in ("omega", "light_speed"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         axes = []
         for name in ("axis_m", "axis_n", "axis_s"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
-            if abs(np.linalg.norm(v) - 1.0) > _AXIS_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= _AXIS_TOL:  # NaN fails too
                 raise ValueError(f"{name} must be a unit vector")
             axes.append(v)
             object.__setattr__(self, name, v)
         for i in range(3):
             for j in range(i + 1, 3):
-                if abs(float(axes[i] @ axes[j])) > _AXIS_TOL:
+                if not abs(float(axes[i] @ axes[j])) <= _AXIS_TOL:
                     raise ValueError("trap axes must be pairwise orthogonal")
 
     @property

@@ -109,15 +109,20 @@ def loop_deviation(m, n_periods):
     return float(np.abs(power - np.eye(m.shape[0])).max())
 
 
-def _trace_root(trace_at, goal, bracket, xtol, what):
-    """Parameter x in bracket with trace_at(x) == goal, by Brent's method.
+def _trace_root(family, goal, bracket, n_steps, xtol, what):
+    """Parameter x in bracket with tr monodromy(family(x)) == goal, by Brent's method.
 
-    Raises NoRootError naming `what` when trace_at(x) - goal has no sign
-    change across the bracket.
+    brentq reports a bracket without a sign change as a ValueError, and any
+    ValueError inside it becomes NoRootError naming `what`. So n_steps and
+    the family members at both ends are checked before brentq starts, and a
+    configuration error raises its own message.
     """
+    n_steps = resolve_steps(n_steps)
     lo, hi = float(bracket[0]), float(bracket[1])
+    family(lo), family(hi)
     try:
-        return float(brentq(lambda x: trace_at(x) - goal, lo, hi, xtol=xtol))
+        return float(brentq(lambda x: float(np.trace(monodromy(family(x), n_steps))) - goal,
+                            lo, hi, xtol=xtol))
     except ValueError as exc:
         raise NoRootError(f"no {what} inside bracket ({lo:g}, {hi:g})") from exc
 
@@ -140,9 +145,7 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
 
     Raises NoRootError when the bracket holds no sign change.
     """
-    n_steps = resolve_steps(n_steps)
-    return _trace_root(lambda b: float(np.trace(monodromy(family(b), n_steps))),
-                       2.0 * math.cos(target_angle), bracket, xtol,
+    return _trace_root(family, 2.0 * math.cos(target_angle), bracket, n_steps, xtol,
                        "Floquet-angle crossing")
 
 
@@ -168,8 +171,8 @@ def oscillator_quasienergies(omega_f, omega, n_levels):
     """Ladder omega_F (n + 1/2), each level reduced to (-omega/2, omega/2]."""
     if omega_f < 0:
         raise ValueError("omega_F must be non-negative")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     levels = omega_f * (np.arange(int(n_levels)) + 0.5)
     return reduce_to_zone(levels, omega)
 

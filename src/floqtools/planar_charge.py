@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import TWO_PI, resolve_steps, rotation2
+from ._linops import TWO_PI, finite_product, require_finite, rotation2
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -35,6 +35,7 @@ class PhysicalParams:
     field: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         for name in ("charge", "mass", "light_speed"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -111,15 +112,8 @@ def stability_threshold(omega, alpha_bracket=(0.3, 0.8), n_steps=None, xtol=1e-6
 
     Raises NoRootError when the bracket holds no crossing.
     """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    n_steps = resolve_steps(n_steps)
-
-    def trace_at(alpha):
-        profile = DriveProfile.sinusoid(2.0 * alpha * omega, omega)
-        return float(np.trace(hill.monodromy(profile, n_steps)))
-
-    return hill._trace_root(trace_at, 2.0, alpha_bracket, xtol, "stability boundary")
+    family = lambda a: DriveProfile.sinusoid(finite_product(2.0, a, omega), omega)  # noqa: E731
+    return hill._trace_root(family, 2.0, alpha_bracket, n_steps, xtol, "stability boundary")
 
 
 def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=0.05):
@@ -129,14 +123,11 @@ def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=
     multiple of 2 pi / n_periods (the loop condition for the radial factor).
     Returns the refined beta1.
     """
-    def trace_at(b1):
-        profile = DriveProfile.offset_sinusoid(beta0, b1, omega)
-        return float(np.trace(hill.monodromy(profile, n_steps)))
-
-    angle = hill.floquet_angle(trace_at(beta1))
+    family = lambda b1: DriveProfile.offset_sinusoid(beta0, b1, omega)  # noqa: E731
+    angle = hill.floquet_angle(float(np.trace(hill.monodromy(family(beta1), n_steps))))
     target = round(angle * n_periods / TWO_PI) * TWO_PI / n_periods
-    bracket = (beta1 * (1.0 - rel_bracket), beta1 * (1.0 + rel_bracket))
-    return hill._trace_root(trace_at, 2.0 * math.cos(target), bracket, 1e-10,
+    bracket = (finite_product(beta1, 1.0 - rel_bracket), finite_product(beta1, 1.0 + rel_bracket))
+    return hill._trace_root(family, 2.0 * math.cos(target), bracket, n_steps, 1e-10,
                             "loop angle crossing")
 
 

@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._linops import TWO_PI, resolve_steps
+from ._linops import TWO_PI, finite_product, resolve_steps
 
 PROFILE_KINDS = ("constant", "steps", "sin", "offset_sin")
 
@@ -24,9 +24,12 @@ class DriveProfile:
     kind    one of PROFILE_KINDS
     beta0   constant value, sine amplitude, or sine offset
     beta1   sine amplitude of the offset_sin kind
-    omega   angular frequency of the sinusoidal kinds (period = 2 pi / omega)
-    steps   ((beta, tau), ...) for the steps kind; period = sum of tau
-    period  drive period T
+    omega   angular frequency of the sinusoidal kinds
+    steps   ((beta, tau), ...) for the steps kind
+    period  drive period T; derived, also by dataclasses.replace, as
+            2 pi / omega for the sinusoidal kinds and the sum of tau for steps
+
+    Every number must be finite; a ProfileError names the offending field.
     """
 
     kind: str
@@ -39,25 +42,32 @@ class DriveProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ProfileError(f"field 'kind' must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        if self.kind in ("sin", "offset_sin") and not self.omega > 0:
-            raise ProfileError(f"field 'omega' must be positive for kind {self.kind!r}")
+        for name in ("omega", "beta0", "beta1"):
+            value = getattr(self, name)
+            if type(value) is not float or not math.isfinite(value):
+                object.__setattr__(self, name, _finite(value, name))
+        if self.kind in ("sin", "offset_sin"):
+            if not self.omega > 0:
+                raise ProfileError(f"field 'omega' must be positive for kind {self.kind!r}")
+            object.__setattr__(self, "period", TWO_PI / self.omega)
         if self.kind == "steps":
             if not self.steps:
                 raise ProfileError("field 'steps' needs at least one (beta, tau) pair")
-            norm = []
             for i, pair in enumerate(self.steps):
-                beta, tau = float(pair[0]), float(pair[1])
-                if not tau > 0:
+                if not all(map(is_finite_number, pair)):
+                    raise ProfileError(f"field 'steps'[{i}] must contain finite numbers")
+                if not pair[1] > 0:
                     raise ProfileError(f"field 'steps'[{i}]: duration must be positive")
-                norm.append((beta, tau))
-            object.__setattr__(self, "steps", tuple(norm))
-            object.__setattr__(self, "period", sum(tau for _, tau in norm))
+            object.__setattr__(self, "steps", tuple((float(b), float(t)) for b, t in self.steps))
+            object.__setattr__(self, "period", sum(tau for _, tau in self.steps))
+        # A derived period can overflow: 2 pi / 1e-310 is infinite.
+        object.__setattr__(self, "period", _finite(self.period, "period"))
         if not self.period > 0:
             raise ProfileError("field 'period' must be positive")
 
     @staticmethod
     def constant(beta0, period=1.0):
-        return DriveProfile("constant", beta0=float(beta0), period=float(period))
+        return DriveProfile("constant", beta0=beta0, period=period)
 
     @staticmethod
     def from_steps(steps):
@@ -66,18 +76,12 @@ class DriveProfile:
     @staticmethod
     def sinusoid(beta0, omega):
         """beta(t) = beta0 sin(omega t)."""
-        if not float(omega) > 0:
-            raise ProfileError("field 'omega' must be positive for kind 'sin'")
-        return DriveProfile("sin", beta0=float(beta0), omega=float(omega),
-                            period=TWO_PI / float(omega))
+        return DriveProfile("sin", beta0=beta0, omega=omega)
 
     @staticmethod
     def offset_sinusoid(beta0, beta1, omega):
         """beta(t) = beta0 + beta1 sin(omega t)."""
-        if not float(omega) > 0:
-            raise ProfileError("field 'omega' must be positive for kind 'offset_sin'")
-        return DriveProfile("offset_sin", beta0=float(beta0), beta1=float(beta1),
-                            omega=float(omega), period=TWO_PI / float(omega))
+        return DriveProfile("offset_sin", beta0=beta0, beta1=beta1, omega=omega)
 
 
 def eval_beta(profile, t):
@@ -121,7 +125,7 @@ def with_amplitude(profile, beta0):
     scaled by beta0.
     """
     if profile.kind == "steps":
-        scaled = tuple((beta0 * beta, tau) for beta, tau in profile.steps)
+        scaled = tuple((finite_product(beta0, beta), tau) for beta, tau in profile.steps)
         return replace(profile, steps=scaled)
     return replace(profile, beta0=float(beta0))
 
@@ -190,7 +194,7 @@ _JSON_FIELDS = {
 
 def is_finite_number(value):
     # json.loads accepts the literals NaN and Infinity; they are rejected here.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     try:
         return math.isfinite(value)
@@ -198,10 +202,10 @@ def is_finite_number(value):
         return False
 
 
-def _json_number(obj, key):
-    value = obj[key]
+def _finite(value, field):
+    """value as a float, or ProfileError naming field unless it is a finite number."""
     if not is_finite_number(value):
-        raise ProfileError(f"field {key!r} must be a finite number")
+        raise ProfileError(f"field {field!r} must be a finite number")
     return float(value)
 
 
@@ -237,40 +241,23 @@ def profile_from_json(source):
         raw = obj["steps"]
         if not isinstance(raw, list) or not raw:
             raise ProfileError("field 'steps' must be a non-empty list of [beta, tau] pairs")
-        steps = []
         for i, pair in enumerate(raw):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ProfileError(f"field 'steps'[{i}] must be a [beta, tau] pair")
-            beta, tau = pair
-            if not all(is_finite_number(v) for v in pair):
-                raise ProfileError(f"field 'steps'[{i}] must contain finite numbers")
-            if not tau > 0:
-                raise ProfileError(f"field 'steps'[{i}]: duration must be positive")
-            steps.append((float(beta), float(tau)))
-        return DriveProfile.from_steps(steps)
+        return DriveProfile.from_steps(raw)
 
-    beta0 = _json_number(obj, "beta0")
-    if kind == "sin":
-        return DriveProfile.sinusoid(beta0, _json_number(obj, "omega"))
-    if kind == "offset_sin":
-        return DriveProfile.offset_sinusoid(beta0, _json_number(obj, "beta1"),
-                                            _json_number(obj, "omega"))
-    if "omega" in obj:
-        omega = _json_number(obj, "omega")
+    values = {key: value for key, value in obj.items() if key != "kind"}
+    if "omega" in values and kind == "constant":
+        omega = _finite(values.pop("omega"), "omega")
         if not omega > 0:
             raise ProfileError("field 'omega' must be positive")
-        return DriveProfile.constant(beta0, TWO_PI / omega)
-    period = _json_number(obj, "period") if "period" in obj else 1.0
-    return DriveProfile.constant(beta0, period)
+        values["period"] = TWO_PI / omega
+    return DriveProfile(kind, **values)
 
 
 def profile_to_json(profile):
     """Dict form of a profile matching the profile_from_json schema."""
     if profile.kind == "steps":
         return {"kind": "steps", "steps": [[beta, tau] for beta, tau in profile.steps]}
-    if profile.kind == "sin":
-        return {"kind": "sin", "beta0": profile.beta0, "omega": profile.omega}
-    if profile.kind == "offset_sin":
-        return {"kind": "offset_sin", "beta0": profile.beta0, "beta1": profile.beta1,
-                "omega": profile.omega}
-    return {"kind": "constant", "beta0": profile.beta0, "period": profile.period}
+    keys = _JSON_FIELDS[profile.kind][0] + (("period",) if profile.kind == "constant" else ())
+    return {"kind": profile.kind, **{key: getattr(profile, key) for key in keys}}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linops import TWO_PI, chain_matmul, resolve_steps
+from ._linops import TWO_PI, chain_matmul, require_finite, resolve_steps
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -34,15 +34,16 @@ def _hermitian(m):
     """Exactly symmetrized copy of a Hermitian matrix or (n, d, d) stack.
 
     Each matrix may deviate from Hermiticity by 1e-12 times the larger of 1
-    and its own largest entry.
+    and its own largest entry. The comparisons are written so that a NaN
+    fails them.
     """
     dag = np.conj(np.swapaxes(m, -1, -2))
     defect = np.abs(m - dag)
     # Every scale is at least 1, so a defect within the bare tolerance passes
     # without the per-matrix maxima.
-    if defect.max() > _HERMITIAN_TOL:
+    if not defect.max() <= _HERMITIAN_TOL:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        if (defect.max(axis=(-2, -1)) > _HERMITIAN_TOL * scale).any():
+        if not (defect.max(axis=(-2, -1)) <= _HERMITIAN_TOL * scale).all():
             raise ValueError(f"matrix is not Hermitian (defect {defect.max():.3e})")
     return 0.5 * (m + dag)
 
@@ -72,7 +73,7 @@ class Unitary:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         defect = unitarity_defect(m)
-        if defect > _UNITARY_TOL:
+        if not defect <= _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "matrix", m)
 
@@ -93,8 +94,8 @@ class StepPattern:
         dim = None
         for i, (h, tau) in enumerate(self.steps):
             tau = float(tau)
-            if not tau > 0:
-                raise ValueError(f"step {i}: duration must be positive")
+            if not 0 < tau < math.inf:
+                raise ValueError(f"step {i}: duration must be positive and finite")
             hm = as_hermitian(h)
             if dim is None:
                 dim = hm.shape[0]
@@ -116,12 +117,12 @@ class QuasiSpectrum:
     omega: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         vals = np.sort(np.asarray(self.values, dtype=float))
         half = 0.5 * self.omega
         slack = 1e-9 * self.omega
-        if vals.size and (vals[0] <= -half - slack or vals[-1] > half + slack):
+        if vals.size and not (-half - slack < vals[0] and vals[-1] <= half + slack):
             raise ValueError("quasienergies outside the first zone")
         object.__setattr__(self, "values", vals)
 
@@ -143,8 +144,7 @@ def expm_hermitian(h, t):
     """exp(-i t H) through eigendecomposition; unitary up to roundoff."""
     hm = as_hermitian(h)
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("duration must be finite")
+    require_finite(t=t)
     return Unitary(_expm_batch(hm[None], t)[0])
 
 
@@ -164,6 +164,7 @@ def step_evolve(pattern, t):
     if not isinstance(pattern, StepPattern):
         pattern = StepPattern(tuple(pattern))
     t = float(t)
+    require_finite(t=t)
     if t < 0:
         raise ValueError("t must be non-negative")
     period = pattern.period
@@ -186,12 +187,12 @@ def step_evolve(pattern, t):
 def _sample_hamiltonian(h, times):
     """Stack H(t) over a time grid, preferring one vectorized call.
 
-    A callable may return the full (n, d, d) stack for an array argument;
-    otherwise it is evaluated per time point.
+    A callable may return the full (n, d, d) stack for an array argument; one
+    that raises TypeError or ValueError on it is evaluated per time point.
     """
     try:
         hs = np.asarray(h(times), dtype=complex)
-    except Exception:
+    except (TypeError, ValueError):
         hs = None
     if hs is None or hs.ndim != 3 or hs.shape[0] != times.size or hs.shape[1] != hs.shape[2]:
         return np.stack([as_hermitian(h(t)) for t in times])
@@ -225,8 +226,8 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     n_steps = resolve_steps(n_steps)
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    t_start = float(t_start)
-    t_end = float(t_end)
+    t_start, t_end = float(t_start), float(t_end)
+    require_finite(t_start=t_start, t_end=t_end)
     span = t_end - t_start
     if span == 0.0:
         dim = as_hermitian(h(t_start)).shape[0]
@@ -244,6 +245,15 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     return Unitary(chain_matmul(steps))
 
 
+def _zone_energies(phases, t_period):
+    """Energies -phases / T reduced into the zone, and omega = 2 pi / T."""
+    t_period = float(t_period)
+    if not 0 < t_period < math.inf:
+        raise ValueError("period must be positive and finite")
+    omega = TWO_PI / t_period
+    return reduce_to_zone(-phases / t_period, omega), omega
+
+
 def floquet_hamiltonian(u, t_period):
     """Principal-branch generator F with exp(-i T F) = U.
 
@@ -253,27 +263,16 @@ def floquet_hamiltonian(u, t_period):
     eigenspaces. Degenerate eigenphases share one phase, so the unitary
     eigenbasis from the Schur form introduces no ordering ambiguity.
     """
-    m = Unitary(u).matrix
-    t_period = float(t_period)
-    if not t_period > 0:
-        raise ValueError("period must be positive")
-    omega = TWO_PI / t_period
-    tri, z = scipy.linalg.schur(m, output="complex")
-    phases = np.angle(np.diagonal(tri))
-    f = reduce_to_zone(-phases / t_period, omega)
+    tri, z = scipy.linalg.schur(Unitary(u).matrix, output="complex")
+    f, _ = _zone_energies(np.angle(np.diagonal(tri)), t_period)
     fm = (z * f) @ z.conj().T
     return 0.5 * (fm + fm.conj().T)
 
 
 def quasienergies(u, t_period):
     """Quasienergy spectrum of a one-period propagator, sorted ascending."""
-    m = Unitary(u).matrix
-    t_period = float(t_period)
-    if not t_period > 0:
-        raise ValueError("period must be positive")
-    omega = TWO_PI / t_period
-    phases = np.angle(np.linalg.eigvals(m))
-    return QuasiSpectrum(reduce_to_zone(-phases / t_period, omega), omega)
+    phases = np.angle(np.linalg.eigvals(Unitary(u).matrix))
+    return QuasiSpectrum(*_zone_energies(phases, t_period))
 
 
 def epicycle(h, f, t, n_steps=None):

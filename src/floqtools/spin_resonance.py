@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import TWO_PI, resolve_steps
+from ._linops import TWO_PI, require_finite, resolve_steps
 from .propagator import (
     SIGMA_X,
     SIGMA_Y,
@@ -37,6 +37,7 @@ class SpinParams:
     omega: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if self.B < 0:

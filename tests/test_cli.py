@@ -114,6 +114,10 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
      "--points", "2"),
     ("planar-loop", "--beta0", "1e300", "--beta1", "1e300", "--omega", str(TWO_PI),
      "--periods", "24"),
+    ("osc-spectrum", "--profile", '{"kind":"steps","steps":[[1e10,0.5],[0,0.5]]}',
+     "--beta0-min", "0", "--beta0-max", "1e300", "--points", "2"),
+    ("planar-loop", "--beta0", "0.785", "--beta1", "1.75e308", "--omega", str(TWO_PI),
+     "--periods", "24", "--polish", "--steps", "64"),
 ])
 def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys):
     assert run_cli(*argv) == 3
@@ -144,6 +148,12 @@ def test_stdout_and_output_file_get_the_same_bytes(argv, tmp_path, capsys):
     assert run_cli(*argv, "-o", str(out)) == 0
     assert capsys.readouterr().out == ""
     assert printed and out.read_bytes() == printed
+
+
+def test_threshold_zero_omega_exits_2_naming_it(capsys):
+    code = run_cli("stability-scan", "--omega", "0", "--find-threshold")
+    assert code == 2
+    assert "omega" in capsys.readouterr().err
 
 
 def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):

@@ -33,6 +33,11 @@ def test_axes_must_be_orthonormal():
                   axis_s=np.array([0.0, 0.0, 1.0]))
 
 
+def test_axes_reject_nan():
+    with pytest.raises(ValueError, match="unit"):
+        TrapField(1.0, 1.0, 1.0, axis_m=np.array([math.nan, 0.0, 0.0]))
+
+
 # ---------- standing wave ----------
 
 

@@ -156,6 +156,11 @@ def test_find_loop_beta_reports_missing_root():
         find_loop_beta(constant_family(), math.pi / 2, (2.0, 2.5))
 
 
+def test_find_loop_beta_reports_an_invalid_family_member_not_a_missing_root():
+    with pytest.raises(ValueError, match="omega"):
+        find_loop_beta(lambda b: DriveProfile.sinusoid(b, -1.0), math.pi / 2, (1.5, 3.0))
+
+
 # ---------- scans and ladders ----------
 
 
@@ -187,6 +192,11 @@ def test_oscillator_quasienergy_ladder():
                     [math.pi / 4, 3 * math.pi / 4])
     ladder = oscillator_quasienergies(math.pi / 2, TWO_PI, 5)
     assert ladder[4] == pytest.approx(math.pi / 4)  # 9 pi / 4 folded back
+
+
+def test_oscillator_quasienergy_ladder_rejects_infinite_omega():
+    with pytest.raises(ValueError, match="omega"):
+        oscillator_quasienergies(1.0, math.inf, 3)
 
 
 # ---------- trajectories ----------

@@ -173,6 +173,12 @@ def test_threshold_requires_a_bracketing_interval():
         stability_threshold(TWO_PI, alpha_bracket=(0.1, 0.2))
 
 
+def test_threshold_rejects_zero_omega_before_the_search():
+    # A ValueError, not the NoRootError of a bracket without a crossing.
+    with pytest.raises(ValueError, match="omega"):
+        stability_threshold(0.0)
+
+
 def test_threshold_and_polish_each_make_few_monodromy_calls(monodromy_calls):
     stability_threshold(TWO_PI)
     assert 3 <= len(monodromy_calls) <= 12

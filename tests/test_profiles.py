@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from floqtools import (
     ProfileError,
     beta_period_integral,
     eval_beta,
+    monodromy,
     profile_from_json,
     profile_to_json,
     with_amplitude,
@@ -43,6 +45,15 @@ def test_eval_offset_sinusoid():
 def test_period_definitions():
     assert DriveProfile.sinusoid(1.0, math.pi).period == pytest.approx(2.0)
     assert DriveProfile.from_steps(((1.0, 0.3), (0.0, 0.9))).period == pytest.approx(1.2)
+
+
+def test_sinusoidal_period_is_derived_from_omega():
+    direct = DriveProfile("sin", beta0=2.2, omega=math.pi)
+    assert direct.period == 2.0
+    assert np.array_equal(monodromy(direct, 256),
+                          monodromy(DriveProfile.sinusoid(2.2, math.pi), 256))
+    assert replace(DriveProfile.sinusoid(1, TWO_PI), omega=math.pi).period == 2.0
+    assert replace(DriveProfile.offset_sinusoid(1, 0.5, TWO_PI), omega=4.0).period == TWO_PI / 4.0
 
 
 def test_beta_period_integral():

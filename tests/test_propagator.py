@@ -62,6 +62,37 @@ def test_expm_rejects_non_finite_duration():
         expm_hermitian(SIGMA_Z, math.inf)
 
 
+NAN_MATRIX = np.array([[math.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: Unitary(np.full((2, 2), math.nan)), "unitary", id="Unitary"),
+    pytest.param(lambda: as_hermitian(NAN_MATRIX), "Hermitian", id="as_hermitian"),
+    pytest.param(lambda: StepPattern(((NAN_MATRIX, 1.0),)), "Hermitian", id="StepPattern"),
+    pytest.param(lambda: expm_hermitian(NAN_MATRIX, 1.0), "Hermitian", id="expm_hermitian"),
+    pytest.param(lambda: step_propagator([(NAN_MATRIX, 1.0)]), "Hermitian",
+                 id="step_propagator"),
+    pytest.param(lambda: evolve(lambda t: NAN_MATRIX, 1.0, 4), "Hermitian", id="evolve-H"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z, math.inf),)), "duration",
+                 id="StepPattern-duration"),
+    pytest.param(lambda: QuasiSpectrum([math.nan, 0.1], 1.0), "zone", id="QuasiSpectrum"),
+    pytest.param(lambda: QuasiSpectrum([0.1], math.inf), "omega", id="QuasiSpectrum-omega"),
+    pytest.param(lambda: floquet_hamiltonian(np.eye(2), math.inf), "period",
+                 id="floquet_hamiltonian-period"),
+    pytest.param(lambda: quasienergies(np.eye(2), math.inf), "period", id="quasienergies-period"),
+    pytest.param(lambda: evolve(lambda t: SIGMA_Z, math.nan, 4), "t_end", id="evolve-t_end"),
+    pytest.param(lambda: evolve(lambda t: SIGMA_Z, 1.0, 4, t_start=math.inf), "t_start",
+                 id="evolve-t_start"),
+    pytest.param(lambda: step_evolve([(SIGMA_Z, 1.0)], math.nan), "t must be finite",
+                 id="step_evolve-nan"),
+    pytest.param(lambda: step_evolve([(SIGMA_Z, 1.0)], math.inf), "t must be finite",
+                 id="step_evolve-inf"),
+])
+def test_non_finite_input_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------- step patterns ----------
 
 
@@ -155,6 +186,23 @@ def test_evolve_checks_each_sample_against_its_own_scale():
 
     with pytest.raises(ValueError, match="Hermitian"):
         evolve(h, 1.0, 4)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
+def test_evolve_propagates_a_callable_error_after_one_call(error):
+    # Only TypeError and ValueError, what a scalar-only callable raises on an
+    # array, fall back to per-point calls.
+    calls = []
+
+    def h(t):
+        calls.append(t)
+        if np.ndim(t):
+            raise error("drive failed")
+        return SIGMA_Z
+
+    with pytest.raises(error, match="drive failed"):
+        evolve(h, 1.0, 8)
+    assert len(calls) == 1
 
 
 def test_evolve_rejects_zero_steps():

@@ -1,0 +1,84 @@
+"""Property tests of the library constructors and the profile JSON schema."""
+import json
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from floqtools import (
+    DriveProfile,
+    PhysicalParams,
+    SpinParams,
+    TrapField,
+    profile_from_json,
+    profile_to_json,
+)
+
+TWO_PI = 2.0 * math.pi
+
+# Examples come from a fixed seed and are not timed, because the speed of a
+# shared host drifts by up to 2x.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
+
+finite = st.floats(min_value=-1e6, max_value=1e6)
+positive = st.floats(min_value=1e-3, max_value=1e3)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+PROFILES = {
+    "constant": st.builds(DriveProfile.constant, finite, positive),
+    "steps": st.builds(DriveProfile.from_steps,
+                       st.lists(st.tuples(finite, positive), min_size=1, max_size=5)),
+    "sin": st.builds(DriveProfile.sinusoid, finite, positive),
+    "offset_sin": st.builds(DriveProfile.offset_sinusoid, finite, finite, positive),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+@PROPERTY
+@given(data=st.data())
+def test_profile_json_round_trip(kind, data):
+    profile = data.draw(PROFILES[kind])
+    assert profile_from_json(json.dumps(profile_to_json(profile))) == profile
+
+
+@PROPERTY
+@given(profile=st.one_of(PROFILES["sin"], PROFILES["offset_sin"]), omega=positive)
+def test_sinusoidal_period_follows_omega_through_replace(profile, omega):
+    assert replace(profile, omega=omega).period == TWO_PI / omega
+
+
+# Each constructor with keyword arguments that are valid for any value drawn
+# from `positive`.
+CONSTRUCTORS = {
+    "offset_sin": (lambda **kw: DriveProfile("offset_sin", **kw), ("beta0", "beta1", "omega")),
+    "constant": (lambda **kw: DriveProfile("constant", **kw), ("beta0", "period")),
+    "SpinParams": (SpinParams, ("mu", "B", "omega")),
+    "TrapField": (TrapField, ("amplitude", "omega", "light_speed")),
+    "PhysicalParams": (PhysicalParams, ("charge", "mass", "light_speed", "field")),
+}
+
+
+@pytest.mark.parametrize("build, names, name", [
+    pytest.param(build, names, name, id=f"{label}-{name}")
+    for label, (build, names) in CONSTRUCTORS.items() for name in names])
+@PROPERTY
+@given(data=st.data(), bad=non_finite)
+def test_constructor_rejects_a_non_finite_field(build, names, name, data, bad):
+    kwargs = {key: data.draw(positive, label=key) for key in names}
+    kwargs[name] = bad
+    with pytest.raises(ValueError) as excinfo:
+        build(**kwargs)
+    assert name in str(excinfo.value).split(" must")[0]
+
+
+@PROPERTY
+@given(steps=st.lists(st.tuples(finite, positive), min_size=1, max_size=4),
+       index=st.integers(0, 3), slot=st.integers(0, 1), bad=non_finite)
+def test_profile_rejects_a_non_finite_step(steps, index, slot, bad):
+    index %= len(steps)
+    pair = list(steps[index])
+    pair[slot] = bad
+    steps[index] = tuple(pair)
+    with pytest.raises(ValueError, match=rf"field 'steps'\[{index}\] must contain finite numbers"):
+        DriveProfile.from_steps(steps)

@@ -140,6 +140,19 @@ def test_propagator_route_across_coupling_decades():
         assert err < 1e-7, f"ratio {ratio}: error {err}"
 
 
+def test_propagator_route_folded_gap():
+    # spin_spacing_from_propagator takes its whole multiple of omega and its
+    # sign from the closed form; the gap folded into the zone is all it
+    # computes, so only |fold(gap)| is compared.
+    omega = 2.0
+    for ratio in np.logspace(-3, 2, 6):
+        params = SpinParams(1.0, ratio * omega, omega)
+        exact = spin_quasienergy_spacing(params)
+        numeric = spin_spacing_from_propagator(params)
+        err = abs(abs(reduce_to_zone(numeric, omega)) - abs(reduce_to_zone(exact, omega)))
+        assert err < 1e-7 * omega + 1e-11 * exact, f"ratio {ratio}: error {err}"
+
+
 def test_one_period_quasienergies_carry_the_spinor_sign():
     # U(T) picks up the 2 pi spinor rotation of the frame factor, so its
     # quasienergies are reduce(+-lambda + omega/2), not reduce(+-lambda).
