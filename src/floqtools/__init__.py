@@ -55,6 +55,7 @@ from .planar_charge import (
     polish_loop_beta1,
     reconstruct_planar,
     rotating_frame_reduction,
+    stability_family,
     stability_threshold,
     symplectic_defect,
 )

@@ -23,14 +23,25 @@ def default_steps():
     return value
 
 
+def count(value, name, minimum):
+    """value as an int; ValueError naming name unless it is a non-bool integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def resolve_steps(n_steps):
     """n_steps as an int >= 1, with None selecting default_steps()."""
-    if n_steps is None:
-        return default_steps()
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n}")
-    return n
+    return default_steps() if n_steps is None else count(n_steps, "n_steps", 1)
+
+
+def reduce_to_zone(values, omega):
+    """Map values into (-omega/2, omega/2] by subtracting multiples of omega."""
+    x = np.asarray(values, dtype=float)
+    out = x - omega * np.ceil(x / omega - 0.5)
+    return out if x.ndim else float(out)
 
 
 def require_finite(**values):

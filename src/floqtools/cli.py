@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import fields, hill, planar_charge, spin_resonance
-from ._linops import TWO_PI, finite_product
+from ._linops import TWO_PI
 from .profiles import (
     DriveProfile,
     ProfileError,
@@ -210,8 +210,7 @@ def _cmd_stability_scan(args):
             args.omega, tuple(args.bracket), args.steps)
         return {"alpha_star": alpha_star, "omega": args.omega}
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
-    family = lambda alpha: DriveProfile.sinusoid(  # noqa: E731
-        finite_product(2.0, alpha, args.omega), args.omega)
+    family = planar_charge.stability_family(args.omega)
     rows = [(alpha, trace, stability != hill.HYPERBOLIC)
             for alpha, trace, stability, _ in hill.omega_F_scan(family, grid, args.steps)]
     return ("alpha", "trace", "stable"), rows

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linops import require_finite
+from ._linops import count, require_finite
 
 _AXIS_TOL = 1e-12
 
@@ -124,7 +124,7 @@ def magnetic_field_fd(potential, x, t, h=1e-5):
 
 
 def _fibonacci_sphere(n):
-    idx = np.arange(int(n)) + 0.5
+    idx = np.arange(n) + 0.5
     phi = math.pi * (3.0 - math.sqrt(5.0)) * idx
     z = 1.0 - 2.0 * idx / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -140,7 +140,7 @@ def nodal_approx_error(trap, radius, t_grid, n_dirs=64):
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    dirs = _fibonacci_sphere(n_dirs)
+    dirs = _fibonacci_sphere(count(n_dirs, "n_dirs", 1))
     worst_dev = 0.0
     worst_ref = 0.0
     for t in t_grid:

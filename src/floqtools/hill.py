@@ -13,9 +13,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from ._linops import TWO_PI, chain_matmul, oscillator_blocks, resolve_steps
+from ._linops import TWO_PI, chain_matmul, count, oscillator_blocks, reduce_to_zone, resolve_steps
 from .profiles import DriveProfile, integration_segments, sample_segments
-from .propagator import reduce_to_zone
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -53,8 +52,7 @@ def monodromy(profile, n_steps=None):
     blocks (n_steps is only checked); sinusoidal profiles use n_steps
     midpoint-frozen blocks per period, each exactly area preserving.
     """
-    n = resolve_steps(n_steps)
-    dts, betas = integration_segments(profile, 0.0, profile.period, n)
+    dts, betas = integration_segments(profile, 0.0, profile.period, n_steps)
     return chain_matmul(oscillator_blocks(betas, dts))
 
 
@@ -86,6 +84,7 @@ def floquet_result(m, t_period, n_max=64):
     loop_order is the least n <= n_max with ||M^n - 1||_max below 1e-8,
     absent otherwise.
     """
+    n_max = count(n_max, "n_max", 0)
     m = np.asarray(m, dtype=float)
     tr = float(np.trace(m))
     stability = classify_trace(tr)
@@ -95,7 +94,7 @@ def floquet_result(m, t_period, n_max=64):
         omega_f = floquet_angle(tr) / t_period
         eye = np.eye(2)
         power = eye
-        for n in range(1, int(n_max) + 1):
+        for n in range(1, n_max + 1):
             power = m @ power
             if float(np.abs(power - eye).max()) < _LOOP_TOL:
                 loop_order = n
@@ -105,7 +104,7 @@ def floquet_result(m, t_period, n_max=64):
 
 def loop_deviation(m, n_periods):
     """||M^n - 1||_max, the closure defect after n periods."""
-    power = np.linalg.matrix_power(np.asarray(m, dtype=float), int(n_periods))
+    power = np.linalg.matrix_power(np.asarray(m, dtype=float), count(n_periods, "n_periods", 1))
     return float(np.abs(power - np.eye(m.shape[0])).max())
 
 
@@ -151,7 +150,7 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
 
 def loop_order_for_angle(target_angle, n_max=512):
     """Smallest n with n * target_angle an integer multiple of 2 pi, if any."""
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, count(n_max, "n_max", 0) + 1):
         if abs(reduce_to_zone(n * target_angle, TWO_PI)) < 1e-9 * max(1.0, n):
             return n
     return None
@@ -173,7 +172,7 @@ def oscillator_quasienergies(omega_f, omega, n_levels):
         raise ValueError("omega_F must be non-negative")
     if not 0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
-    levels = omega_f * (np.arange(int(n_levels)) + 0.5)
+    levels = omega_f * (np.arange(count(n_levels, "n_levels", 1)) + 0.5)
     return reduce_to_zone(levels, omega)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import TWO_PI, finite_product, require_finite, rotation2
+from ._linops import TWO_PI, count, finite_product, require_finite, rotation2
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -74,9 +74,7 @@ def rotating_frame_reduction(profile, n_periods=1, n_steps=None):
     (closed form) and M_radial the radial Hill monodromy. The planar flow is
     recovered by reconstruct_planar(theta, M_radial).
     """
-    n_periods = int(n_periods)
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    n_periods = count(n_periods, "n_periods", 1)
     theta = n_periods * beta_period_integral(profile)
     m_radial = np.linalg.matrix_power(hill.monodromy(profile, n_steps), n_periods)
     return theta, m_radial
@@ -112,20 +110,28 @@ def stability_threshold(omega, alpha_bracket=(0.3, 0.8), n_steps=None, xtol=1e-6
 
     Raises NoRootError when the bracket holds no crossing.
     """
-    family = lambda a: DriveProfile.sinusoid(finite_product(2.0, a, omega), omega)  # noqa: E731
-    return hill._trace_root(family, 2.0, alpha_bracket, n_steps, xtol, "stability boundary")
+    return hill._trace_root(stability_family(omega), 2.0, alpha_bracket, n_steps, xtol,
+                            "stability boundary")
+
+
+def stability_family(omega):
+    """Sinusoidal drives beta(t) = 2 alpha omega sin(omega t), indexed by alpha."""
+    return lambda alpha: DriveProfile.sinusoid(finite_product(2.0, alpha, omega), omega)
 
 
 def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=0.05):
     """Refine the sine amplitude of an offset-sinusoid drive onto an exact loop.
 
     Holding beta0 fixed, the radial Floquet angle is pushed onto the nearest
-    multiple of 2 pi / n_periods (the loop condition for the radial factor).
-    Returns the refined beta1.
+    2 pi k / n_periods with 1 <= k <= (n_periods - 1) // 2 (the loop condition
+    for the radial factor); at 0 and pi, tr M = +-2 and M is a shear, not a
+    loop, so n_periods must be >= 3. Returns the refined beta1.
     """
+    n_periods = count(n_periods, "n_periods", 3)
     family = lambda b1: DriveProfile.offset_sinusoid(beta0, b1, omega)  # noqa: E731
     angle = hill.floquet_angle(float(np.trace(hill.monodromy(family(beta1), n_steps))))
-    target = round(angle * n_periods / TWO_PI) * TWO_PI / n_periods
+    k = min(max(round(angle * n_periods / TWO_PI), 1), (n_periods - 1) // 2)
+    target = k * TWO_PI / n_periods
     bracket = (finite_product(beta1, 1.0 - rel_bracket), finite_product(beta1, 1.0 + rel_bracket))
     return hill._trace_root(family, 2.0 * math.cos(target), bracket, n_steps, 1e-10,
                             "loop angle crossing")

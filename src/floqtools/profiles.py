@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._linops import TWO_PI, finite_product, resolve_steps
+from ._linops import TWO_PI, count, finite_product, resolve_steps
 
 PROFILE_KINDS = ("constant", "steps", "sin", "offset_sin")
 
@@ -130,22 +130,25 @@ def with_amplitude(profile, beta0):
     return replace(profile, beta0=float(beta0))
 
 
-def sample_segments(profile, times):
+def sample_segments(profile, times, substeps=1):
     """Frozen-coefficient segments (dts, betas, ends) of a sample grid.
 
-    The grid is cut once: at the sample times and, for a steps profile, at
-    the drive edges k * period + end_i between them. An edge within guard
+    A sinusoidal kind cuts each sample interval into `substeps` equal pieces.
+    The others ignore substeps and cut at the sample times and, for steps,
+    at the drive edges k * period + end_i between them. An edge within guard
     of a sample time is dropped, so that time joins the piece past the edge;
     the guard grows with ulp(times[-1]), the rounding of k * period + end_i
     far from t = 0. Each segment takes beta at its midpoint, which is exact
-    for the piecewise-constant kinds. ends[k] is the number of segments
-    before times[k].
+    for the piecewise-constant kinds. ends[k] counts the segments before
+    times[k].
     """
     times = np.asarray(times, dtype=float)
-    if (times[1:] < times[:-1]).any():
+    spans = times[1:] - times[:-1]
+    if (spans < 0).any():
         raise ValueError("t_end must not precede t_start")
+    pieces = count(substeps, "substeps", 1) if profile.kind in ("sin", "offset_sin") else 1
     cuts = times
-    ends = np.arange(times.size)
+    ends = np.arange(0, times.size * pieces, pieces)
     if profile.kind == "steps" and times.size > 1:
         period = profile.period
         guard = max(1e-12 * period, 4.0 * math.ulp(float(times[-1])))
@@ -157,31 +160,20 @@ def sample_segments(profile, times):
         keep = (edges > times[after - 1] + guard) & (edges < times[after] - guard)
         edges, after = edges[keep], after[keep]
         cuts = np.sort(np.concatenate([times, edges]))
+        spans = cuts[1:] - cuts[:-1]
         ends = ends + after.searchsorted(ends, side="right")
-    dts = cuts[1:] - cuts[:-1]
-    return dts, eval_beta(profile, cuts[:-1] + 0.5 * dts), ends
+    h = spans / pieces
+    mids = cuts[:-1, None] + (np.arange(pieces) + 0.5) * h[:, None]
+    return np.repeat(h, pieces), eval_beta(profile, mids.ravel()), ends
 
 
 def integration_segments(profile, t_start, t_end, n_steps):
     """Frozen-coefficient grid (dts, betas) covering [t_start, t_end].
 
-    Piecewise-constant kinds split exactly at their discontinuities and
-    ignore n_steps; the sinusoidal kinds use n_steps uniform midpoint
-    samples (None selects default_steps()).
+    The two-point case of sample_segments with n_steps substeps (None
+    selects default_steps()); the piecewise-constant kinds ignore n_steps.
     """
-    span = float(t_end) - float(t_start)
-    if span < 0:
-        raise ValueError("t_end must not precede t_start")
-    if span == 0:
-        return np.empty(0), np.empty(0)
-    if profile.kind == "constant":
-        return np.array([span]), np.array([profile.beta0])
-    if profile.kind == "steps":
-        return sample_segments(profile, [t_start, t_end])[:2]
-    n = resolve_steps(n_steps)
-    dt = span / n
-    mids = t_start + (np.arange(n) + 0.5) * dt
-    return np.full(n, dt), eval_beta(profile, mids)
+    return sample_segments(profile, [t_start, t_end], resolve_steps(n_steps))[:2]
 
 
 _JSON_FIELDS = {
@@ -214,8 +206,9 @@ def profile_from_json(source):
 
     Schema: {"kind": "constant"|"steps"|"sin"|"offset_sin", "beta0": num,
     "beta1": num?, "omega": num?, "steps": [[beta, tau], ...]?}; constant
-    profiles also accept an explicit "period" (default 1.0, or 2 pi / omega
-    when "omega" is given). Errors name the offending field.
+    profiles also accept either "period" (default 1.0) or "omega", which
+    sets the period to 2 pi / omega, but not both. Errors name the
+    offending field.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -248,6 +241,8 @@ def profile_from_json(source):
 
     values = {key: value for key, value in obj.items() if key != "kind"}
     if "omega" in values and kind == "constant":
+        if "period" in values:
+            raise ProfileError("fields 'omega' and 'period' of a constant profile conflict")
         omega = _finite(values.pop("omega"), "omega")
         if not omega > 0:
             raise ProfileError("field 'omega' must be positive")

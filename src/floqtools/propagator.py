@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linops import TWO_PI, chain_matmul, require_finite, resolve_steps
+from ._linops import TWO_PI, chain_matmul, reduce_to_zone, require_finite, resolve_steps
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -125,13 +125,6 @@ class QuasiSpectrum:
         if vals.size and not (-half - slack < vals[0] and vals[-1] <= half + slack):
             raise ValueError("quasienergies outside the first zone")
         object.__setattr__(self, "values", vals)
-
-
-def reduce_to_zone(values, omega):
-    """Map values into (-omega/2, omega/2] by subtracting multiples of omega."""
-    x = np.asarray(values, dtype=float)
-    out = x - omega * np.ceil(x / omega - 0.5)
-    return out if x.ndim else float(out)
 
 
 def _expm_batch(hs, dt):

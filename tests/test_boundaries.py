@@ -1,0 +1,76 @@
+"""Count parameters at the library boundary, and the import graph of the Hill stack."""
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import floqtools
+from floqtools import (
+    SIGMA_Z,
+    DriveProfile,
+    TrapField,
+    classical_trajectory,
+    evolve,
+    floquet_result,
+    loop_deviation,
+    monodromy,
+    nodal_approx_error,
+    oscillator_quasienergies,
+    polish_loop_beta1,
+    rotating_frame_reduction,
+)
+from floqtools.hill import loop_order_for_angle
+from floqtools.profiles import integration_segments, sample_segments
+
+TWO_PI = 2.0 * math.pi
+SIN = DriveProfile.sinusoid(1.0, TWO_PI)
+
+COUNT_SITES = [
+    pytest.param("n_steps", lambda n: monodromy(SIN, n), id="monodromy"),
+    pytest.param("n_steps", lambda n: integration_segments(SIN, 0.0, 1.0, n),
+                 id="integration_segments"),
+    pytest.param("substeps", lambda n: sample_segments(SIN, [0.0, 1.0], n), id="sample_segments"),
+    pytest.param("n_steps", lambda n: classical_trajectory(SIN, (1.0, 0.0), 1.0, n),
+                 id="classical_trajectory"),
+    pytest.param("n_steps", lambda n: evolve(lambda t: SIGMA_Z, 1.0, n), id="evolve"),
+    pytest.param("n_periods", lambda n: rotating_frame_reduction(SIN, n),
+                 id="rotating_frame_reduction"),
+    pytest.param("n_periods", lambda n: polish_loop_beta1(0.785, 0.946, TWO_PI, n),
+                 id="polish_loop_beta1"),
+    pytest.param("n_periods", lambda n: loop_deviation(np.eye(2), n), id="loop_deviation"),
+    pytest.param("n_max", lambda n: floquet_result(np.diag([2.0, 0.5]), 1.0, n),
+                 id="floquet_result"),
+    pytest.param("n_max", lambda n: loop_order_for_angle(math.pi / 2, n),
+                 id="loop_order_for_angle"),
+    pytest.param("n_levels", lambda n: oscillator_quasienergies(1.0, 2.0, n),
+                 id="oscillator_quasienergies"),
+    pytest.param("n_dirs", lambda n: nodal_approx_error(TrapField(1.3, TWO_PI, 1.0), 0.1,
+                                                        [0.0], n), id="nodal_approx_error"),
+]
+
+
+@pytest.mark.parametrize("value", [2.7, math.nan, True], ids=["fraction", "nan", "bool"])
+@pytest.mark.parametrize("name, call", COUNT_SITES)
+def test_count_rejects_non_integers_naming_the_parameter(name, call, value):
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+def test_count_accepts_numpy_integers():
+    assert np.array_equal(monodromy(SIN, np.int64(16)), monodromy(SIN, 16))
+    assert oscillator_quasienergies(1.0, 2.0, np.int32(3)).shape == (3,)
+
+
+@pytest.mark.parametrize("module", ["profiles", "hill", "planar_charge"])
+def test_hill_stack_does_not_import_propagator(module):
+    tree = ast.parse((Path(floqtools.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "propagator" for name in imported)

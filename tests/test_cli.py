@@ -373,3 +373,17 @@ def test_fields_probe_standing_mode(tmp_path):
     report = json.loads(out.read_text())
     assert report["magnetic_field_fd"] == pytest.approx(
         report["magnetic_field_nodal"], abs=1e-7)
+
+
+def test_planar_loop_polish_does_not_settle_on_a_stability_boundary(capsys):
+    # The nearest multiple of 2 pi / 4 to this radial angle (0.13) is 0, where
+    # tr M = 2 and M is a shear; the one allowed target, pi / 2, lies outside
+    # the 5% bracket.
+    argv = ["planar-loop", "--beta0", "0", "--beta1", "7.2", "--omega", str(TWO_PI),
+            "--periods", "4", "--polish"]
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "loop angle crossing" in captured.err
+    argv[argv.index("4")] = "2"
+    assert run_cli(*argv) == 2
+    assert "n_periods" in capsys.readouterr().err

@@ -235,3 +235,42 @@ def test_planar_trajectory_equals_per_interval_stepping(profile, t_end, n,
     expected = np.column_stack([times, c * q1 + s * q2, c * q2 - s * q1,
                                 c * p1 + s * p2, c * p2 - s * p1])
     assert np.array_equal(path, expected)
+
+
+def test_threshold_and_scan_profiles_come_from_stability_family(monkeypatch, monodromy_calls,
+                                                               tmp_path):
+    from floqtools import cli, planar_charge, stability_family
+
+    assert stability_family(2.0)(0.25) == DriveProfile.sinusoid(1.0, 2.0)
+    made = []
+
+    def recording(omega):
+        family = stability_family(omega)
+
+        def member(alpha):
+            made.append(family(alpha))
+            return made[-1]
+        return member
+
+    monkeypatch.setattr(planar_charge, "stability_family", recording)
+    stability_threshold(3.0, n_steps=256)
+    assert cli.main(["stability-scan", "--omega", "3", "--points", "5", "--steps", "64",
+                     "-o", str(tmp_path / "scan.csv")]) == 0
+    assert len(monodromy_calls) > 5
+    assert all(any(args[0] is profile for profile in made) for args in monodromy_calls)
+
+
+def test_polish_from_a_hyperbolic_start_targets_a_loop_not_the_boundary():
+    # tr M = 2.198 at beta1 = 7.3: the clamped angle 0 would give tr M = 2,
+    # a shear, so the target is the nearest allowed angle 2 pi / 24.
+    beta1 = polish_loop_beta1(0.0, 7.3, TWO_PI, 24)
+    tr = np.trace(monodromy(DriveProfile.offset_sinusoid(0.0, beta1, TWO_PI)))
+    assert tr == pytest.approx(2.0 * math.cos(TWO_PI / 24), abs=1e-9)
+    is_loop, deviation = planar_loop_check(DriveProfile.offset_sinusoid(0.0, beta1, TWO_PI), 24)
+    assert is_loop and deviation < 1e-6
+
+
+@pytest.mark.parametrize("n_periods", [1, 2])
+def test_polish_needs_three_periods(n_periods):
+    with pytest.raises(ValueError, match="n_periods"):
+        polish_loop_beta1(REFERENCE_BETA0, REFERENCE_BETA1, TWO_PI, n_periods)

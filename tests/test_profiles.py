@@ -189,3 +189,43 @@ def test_integration_segments_rejects_zero_steps():
 def test_json_rejects_non_finite_numbers(text, field):
     with pytest.raises(ProfileError, match=field):
         profile_from_json(text)
+
+
+@pytest.mark.parametrize("profile", [
+    DriveProfile.sinusoid(2.2, 5.0),
+    DriveProfile.offset_sinusoid(0.7, 1.3, TWO_PI),
+], ids=["sin", "offset_sin"])
+def test_sample_segments_substeps_join_the_per_interval_segments(profile):
+    times = np.array([0.0, 0.13, 0.5, 0.51, 1.7, 3.0, 16384.1])
+    m = 7
+    dts, betas, ends = sample_segments(profile, times, m)
+    pieces = [integration_segments(profile, a, b, m) for a, b in zip(times[:-1], times[1:])]
+    assert np.array_equal(dts, np.concatenate([p[0] for p in pieces]))
+    assert np.array_equal(betas, np.concatenate([p[1] for p in pieces]))
+    assert np.array_equal(ends, np.arange(times.size) * m)
+    # Each interval keeps the arithmetic of a uniform midpoint grid.
+    for (a, b), (piece_dts, piece_betas) in zip(zip(times[:-1], times[1:]), pieces):
+        h = (b - a) / m
+        assert np.array_equal(piece_dts, np.full(m, h))
+        assert np.array_equal(piece_betas, eval_beta(profile, a + (np.arange(m) + 0.5) * h))
+
+
+@pytest.mark.parametrize("profile", [
+    DriveProfile.constant(1.3, 0.7),
+    DriveProfile.from_steps(((1.7, 0.3), (-0.4, 0.45), (0.9, 0.25))),
+], ids=["constant", "steps"])
+def test_sample_segments_ignore_substeps_for_piecewise_constant_kinds(profile):
+    times = np.linspace(0.0, 2.9, 12)
+    base = sample_segments(profile, times)
+    for m in (2, 9):
+        for want, got in zip(base, sample_segments(profile, times, m)):
+            assert np.array_equal(want, got)
+    assert np.array_equal(integration_segments(profile, 0.2, 2.9, 9)[0],
+                          sample_segments(profile, [0.2, 2.9])[0])
+
+
+def test_constant_profile_rejects_omega_with_period():
+    with pytest.raises(ProfileError, match="'omega' and 'period'"):
+        profile_from_json({"kind": "constant", "beta0": 1, "omega": math.pi, "period": 5})
+    assert profile_from_json({"kind": "constant", "beta0": 1, "omega": math.pi}).period == 2.0
+    assert profile_from_json({"kind": "constant", "beta0": 1, "period": 5}).period == 5.0
