@@ -59,18 +59,34 @@ def finite_product(*factors):
     return result
 
 
+def _matmul2(a, b):
+    """a @ b for two (n, 2, 2) stacks, entry by entry (a e + b g, ...).
+
+    Several times faster than np.matmul on complex stacks, whose per-matrix
+    calls dominate at 2x2; on real stacks np.matmul is the faster one.
+    """
+    out = np.empty(a.shape, np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[:, i, j] = a[:, i, 0] * b[:, 0, j] + a[:, i, 1] * b[:, 1, j]
+    return out
+
+
 def chain_matmul(mats):
     """Time-ordered product mats[-1] @ ... @ mats[0] by pairwise reduction.
 
     Pairwise reduction keeps the number of sequential matmuls logarithmic,
     which matters for the 10^4..10^5 step chains the integrators produce.
+    Complex 2x2 stacks are multiplied entry by entry; real ones (every Hill
+    monodromy) and larger ones through np.matmul.
     """
     m = np.asarray(mats)
     if m.ndim != 3 or m.shape[0] == 0:
         raise ValueError("expected a non-empty stack of matrices")
+    matmul = _matmul2 if m.shape[1:] == (2, 2) and m.dtype.kind == "c" else np.matmul
     while m.shape[0] > 1:
         even = m.shape[0] - (m.shape[0] % 2)
-        head = np.matmul(m[1:even:2], m[0:even:2])
+        head = matmul(m[1:even:2], m[0:even:2])
         if even == m.shape[0]:
             m = head
         else:

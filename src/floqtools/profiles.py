@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -29,7 +29,8 @@ class DriveProfile:
     period  drive period T; derived, also by dataclasses.replace, as
             2 pi / omega for the sinusoidal kinds and the sum of tau for steps
 
-    Every number must be finite; a ProfileError names the offending field.
+    Every number must be finite, and a field the kind does not read must keep
+    its default; a ProfileError names the offending field.
     """
 
     kind: str
@@ -42,6 +43,9 @@ class DriveProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ProfileError(f"field 'kind' must be one of {PROFILE_KINDS}, got {self.kind!r}")
+        for name, default in _UNUSED_FIELDS[self.kind]:
+            if getattr(self, name) != default:
+                raise ProfileError(f"field {name!r} is not used by kind {self.kind!r}")
         for name in ("omega", "beta0", "beta1"):
             value = getattr(self, name)
             if type(value) is not float or not math.isfinite(value):
@@ -181,6 +185,16 @@ _JSON_FIELDS = {
     "steps": (("steps",), ()),
     "sin": (("beta0", "omega"), ()),
     "offset_sin": (("beta0", "beta1", "omega"), ()),
+}
+
+
+# (name, default) of each field a kind does not read: every field outside its
+# required JSON fields but the derived period, which dataclasses.replace
+# passes along.
+_UNUSED_FIELDS = {
+    kind: tuple((field.name, field.default) for field in fields(DriveProfile)
+                if field.name not in ("kind", "period") + required)
+    for kind, (required, _) in _JSON_FIELDS.items()
 }
 
 

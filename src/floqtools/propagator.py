@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linops import TWO_PI, chain_matmul, reduce_to_zone, require_finite, resolve_steps
+from ._linops import (TWO_PI, _matmul2, chain_matmul, reduce_to_zone, require_finite,
+                      resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -128,6 +129,35 @@ class QuasiSpectrum:
 
 
 def _expm_batch(hs, dt):
+    """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack.
+
+    A stack of more than one 2x2 matrix is exponentiated in closed form:
+    with H = a0 + n.sigma, exp(-i dt H) = e^{-i a0 dt} [cos(|n| dt) - i S n.sigma]
+    and S = sin(|n| dt) / |n| = dt sinc(|n| dt), sinc(x) = sin(x) / x taking
+    its limit 1 at x = 0, so n = 0 needs no branch. The sine and cosine share
+    one argument, which keeps U unitary to roundoff at any |n| dt.
+    a0, n_z come from the real diagonal and n_x + i n_y from H[1, 0] alone,
+    which is exact because every caller passes an exactly symmetrized stack:
+    _hermitian makes it so, and the real combinations A1 h1 + A2 h2 of such
+    stacks in CF4 keep it so. Any other stack, and a lone matrix (one LAPACK
+    call is cheaper than the closed form's array set-up), goes through eigh.
+    """
+    if hs.shape[0] > 1 and hs.shape[1:] == (2, 2):
+        upper, lower, off = hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0]
+        nz = 0.5 * (upper - lower)
+        norm = np.hypot(nz, np.abs(off))
+        angle = norm * dt
+        sinc = np.ones_like(angle)
+        np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
+        phase = np.exp(-0.5j * dt * (upper + lower))
+        cos = phase * np.cos(angle)
+        sin = -1j * dt * phase * sinc
+        u = np.empty(hs.shape, dtype=complex)
+        u[:, 0, 0] = cos + sin * nz
+        u[:, 0, 1] = sin * off.conj()
+        u[:, 1, 0] = sin * off
+        u[:, 1, 1] = cos - sin * nz
+        return u
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * dt * w)
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
@@ -209,7 +239,9 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
         2 selects midpoint-exponential stepping, exp(-i dt H(t_mid)) per
         step: exactly unitary, second-order accurate. 4 selects a
         two-exponential commutator-free scheme on Gauss nodes for stiff
-        drives.
+        drives. For d = 2 the step exponentials are taken in closed form
+        (see _expm_batch) and the products entry by entry; larger d uses
+        eigh and np.matmul. The step counts do not depend on d.
 
     Returns
     -------
@@ -234,7 +266,7 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
         h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
         first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
         second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
-        steps = np.matmul(second, first)
+        steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
     return Unitary(chain_matmul(steps))
 
 

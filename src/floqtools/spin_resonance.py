@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import TWO_PI, require_finite, resolve_steps
+from ._linops import TWO_PI, finite_product, require_finite, resolve_steps
 from .propagator import (
     SIGMA_X,
     SIGMA_Y,
@@ -40,12 +40,19 @@ class SpinParams:
         require_finite(**vars(self))
         if not self.omega > 0:
             raise ValueError("omega must be positive")
+        if not math.isfinite(self.period):
+            raise ValueError(f"omega must give a finite period 2 pi / omega, got {self.omega}")
         if self.B < 0:
             raise ValueError("B must be non-negative")
 
     @property
     def period(self):
         return TWO_PI / self.omega
+
+    @property
+    def coupling(self):
+        """mu B; FloatingPointError when the finite factors overflow."""
+        return finite_product(self.mu, self.B)
 
 
 def spin_instantaneous(params, t):
@@ -56,9 +63,8 @@ def spin_instantaneous(params, t):
     Broadcasts over an array of times, returning the (n, 2, 2) stack.
     """
     angle = params.omega * np.asarray(t)
-    coupling = -params.mu * params.B
-    return coupling * (np.multiply.outer(np.cos(angle), SIGMA_X)
-                       - np.multiply.outer(np.sin(angle), SIGMA_Y))
+    return -params.coupling * (np.multiply.outer(np.cos(angle), SIGMA_X)
+                               - np.multiply.outer(np.sin(angle), SIGMA_Y))
 
 
 def spin_floquet_generator(params):
@@ -68,7 +74,7 @@ def spin_floquet_generator(params):
     which is why this branch of the generator carries no direct energy
     meaning; only differences modulo omega are observable.
     """
-    off = -params.mu * params.B
+    off = -params.coupling
     half = 0.5 * params.omega
     return np.array([[half, off], [off, -half]], dtype=complex)
 
@@ -106,7 +112,7 @@ def spin_quasienergy_spacing(params):
     Cancellation-free for small couplings; limits: 2 mu B * (mu B / omega)
     for 2 mu B << omega and 2 mu B - omega for 2 mu B >> omega.
     """
-    x = abs(2.0 * params.mu * params.B) / params.omega
+    x = abs(2.0 * params.coupling) / params.omega
     return params.omega * x * x / (1.0 + math.hypot(1.0, x))
 
 
@@ -114,7 +120,7 @@ def _auto_steps(params):
     # Fourth-order stepping: the per-period step count grows like
     # (coupling * period)^(3/4) to hold the quasienergy gap error near 1e-9
     # of omega across mu B / omega up to 1e3.
-    phase = abs(params.mu * params.B) * params.period
+    phase = finite_product(abs(params.coupling), params.period)
     return max(4096, int(math.ceil(64.0 * phase ** 0.75)))
 
 

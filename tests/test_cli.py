@@ -162,6 +162,21 @@ def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):
     assert "omega" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("--mu", "1", "--B", "1", "--omega", "1e-310"), 2,
+     "omega must give a finite period 2 pi / omega"),
+    (("--mu", "1e300", "--B", "1e300", "--omega", "1"), 3,
+     "result is not finite: a drive amplitude overflows"),
+    (("--mu", "1e300", "--B", "1e300", "--omega", "1", "--steps", "64"), 3,
+     "result is not finite: a drive amplitude overflows"),
+])
+def test_spin_spectrum_overflow_fails_cleanly(argv, code, message, capsys):
+    assert run_cli("spin-spectrum", *argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_non_finite_profile_number_exits_2_naming_it(capsys):
     code = run_cli("osc-spectrum", "--profile", '{"kind": "sin", "beta0": NaN, "omega": 1}',
                    "--beta0-min", "0", "--beta0-max", "1", "--points", "3")

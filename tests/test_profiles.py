@@ -229,3 +229,28 @@ def test_constant_profile_rejects_omega_with_period():
         profile_from_json({"kind": "constant", "beta0": 1, "omega": math.pi, "period": 5})
     assert profile_from_json({"kind": "constant", "beta0": 1, "omega": math.pi}).period == 2.0
     assert profile_from_json({"kind": "constant", "beta0": 1, "period": 5}).period == 5.0
+
+
+@pytest.mark.parametrize("kind, fields, unused", [
+    ("constant", {"beta0": 1.0, "beta1": 7.0}, "beta1"),
+    ("constant", {"beta0": 1.0, "omega": 3.0, "period": 5.0}, "omega"),
+    ("constant", {"beta0": 1.0, "steps": ((1.0, 1.0),)}, "steps"),
+    ("sin", {"beta0": 1.0, "beta1": 7.0, "omega": 3.0}, "beta1"),
+    ("sin", {"beta0": 1.0, "omega": 3.0, "steps": ((1.0, 1.0),)}, "steps"),
+    ("offset_sin", {"beta0": 1.0, "beta1": 0.5, "omega": 3.0, "steps": ((1.0, 1.0),)},
+     "steps"),
+    ("steps", {"steps": ((1.0, 1.0),), "beta0": 2.0}, "beta0"),
+    ("steps", {"steps": ((1.0, 1.0),), "beta1": 2.0}, "beta1"),
+    ("steps", {"steps": ((1.0, 1.0),), "omega": 2.0}, "omega"),
+])
+def test_profile_rejects_a_field_its_kind_does_not_read(kind, fields, unused):
+    with pytest.raises(ProfileError, match=f"'{unused}' is not used by kind '{kind}'"):
+        DriveProfile(kind, **fields)
+    read = {name: value for name, value in fields.items() if name != unused}
+    assert DriveProfile(kind, **read).kind == kind
+
+
+def test_profile_accepts_a_passed_along_period():
+    profile = DriveProfile.sinusoid(1.0, 3.0)
+    assert replace(profile, beta0=2.0).period == profile.period
+    assert DriveProfile("steps", steps=((1.0, 0.5),), period=9.0).period == 0.5

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from floqtools import (
@@ -24,6 +25,8 @@ from floqtools import (
     step_propagator,
     unitarity_defect,
 )
+from floqtools import propagator
+from floqtools._linops import _matmul2, chain_matmul
 
 TWO_PI = 2.0 * math.pi
 
@@ -373,3 +376,77 @@ def test_default_steps_env_override(monkeypatch):
     monkeypatch.setenv("FLOQUET_STEPS", "zero")
     with pytest.raises(ValueError):
         default_steps()
+
+
+# ---------- closed-form 2x2 steps ----------
+
+coefficient = st.floats(min_value=-1e3, max_value=1e3)
+
+
+def su2_stack(rows):
+    """Hermitian a0 + n.sigma for each (a0, nx, ny, nz) row."""
+    return np.array([a0 * np.eye(2) + nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+                     for a0, nx, ny, nz in rows])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(rows=st.lists(st.tuples(coefficient, coefficient, coefficient, coefficient),
+                     max_size=6),
+       a0=coefficient, dt=st.floats(min_value=-10.0, max_value=10.0))
+@example(rows=[(0.3, 700.0, -400.0, 500.0)], a0=2.0, dt=3.0)
+@example(rows=[(-1.0, 0.0, 900.0, 0.0)], a0=0.0, dt=-4.0)
+def test_closed_form_2x2_steps_match_eigh(rows, a0, dt):
+    # Every stack also holds H = a0 (n = 0) and H = 0; the examples reach
+    # |n| dt >= 1e3 with either sign of dt.
+    hs = propagator._hermitian(su2_stack(rows + [(a0, 0.0, 0.0, 0.0), (0.0,) * 4]))
+    u = propagator._expm_batch(hs, dt)
+    for h, step in zip(hs, u):
+        by_eigh = propagator._expm_batch(h[None], dt)[0]
+        scale = max(1.0, np.abs(np.linalg.eigvalsh(h)).max() * abs(dt))
+        assert np.abs(step - by_eigh).max() <= 1e-14 * scale
+        assert unitarity_defect(step) <= 1e-14
+        assert abs(np.linalg.det(step) - np.exp(-1j * dt * np.trace(h))) <= 1e-14
+
+
+def test_lone_2x2_matrix_goes_through_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    h = propagator._hermitian(su2_stack([(0.5, 1.0, -2.0, 0.25)] * 2))
+    propagator._expm_batch(h, 0.7)
+    assert calls == []
+    propagator._expm_batch(h[:1], 0.7)
+    assert calls == [(1, 2, 2)]
+
+
+def test_entry_wise_2x2_product_matches_matmul():
+    rng = np.random.default_rng(5)
+    a, b = (rng.normal(size=(257, 2, 2)) + 1j * rng.normal(size=(257, 2, 2)) for _ in "ab")
+    assert np.abs(_matmul2(a, b) - np.matmul(a, b)).max() <= 1e-14
+
+
+def test_real_2x2_chain_is_the_plain_matmul_reduction():
+    m = np.random.default_rng(6).normal(size=(1001, 2, 2))
+    ref = m
+    while len(ref) > 1:
+        even = len(ref) - len(ref) % 2
+        ref = np.concatenate([np.matmul(ref[1:even:2], ref[0:even:2]), ref[even:]])
+    assert np.array_equal(chain_matmul(m), ref[0])
+
+
+def test_fourth_order_step_above_dimension_two_is_unchanged():
+    rng = np.random.default_rng(7)
+    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+
+    def h(t):
+        return h0 + np.multiply.outer(np.cos(TWO_PI * np.asarray(t)), h1)
+
+    n, dt = 64, 1.0 / 64
+    base = dt * np.arange(n)
+    hs1 = propagator._sample_hamiltonian(h, base + propagator._GAUSS_C1 * dt)
+    hs2 = propagator._sample_hamiltonian(h, base + propagator._GAUSS_C2 * dt)
+    a1, a2 = propagator._CF4_A1, propagator._CF4_A2
+    first = propagator._expm_batch(a1 * hs1 + a2 * hs2, dt)
+    second = propagator._expm_batch(a2 * hs1 + a1 * hs2, dt)
+    expected = chain_matmul(np.matmul(second, first))
+    assert np.array_equal(evolve(h, 1.0, n, order=4).matrix, expected)

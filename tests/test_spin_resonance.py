@@ -27,6 +27,14 @@ def test_params_validation():
         SpinParams(1.0, -1.0, 1.0)
 
 
+def test_params_reject_an_infinite_period_and_an_overflowing_coupling():
+    with pytest.raises(ValueError, match="omega must give a finite period"):
+        SpinParams(1.0, 1.0, 1e-310)
+    assert SpinParams(-2.0, 1.5, 1.0).coupling == -3.0
+    with pytest.raises(FloatingPointError, match="overflows"):
+        SpinParams(1e300, 1e300, 1.0).coupling
+
+
 # ---------- instantaneous Hamiltonian ----------
 
 
