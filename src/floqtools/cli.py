@@ -8,6 +8,7 @@ root bracket without a sign change or a result that is not finite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -342,7 +343,8 @@ def build_parser():
                    help="log-grid sweep of mu B / omega instead of a single point")
     p.add_argument("--ratio-min", type=_finite_float, default=1e-3)
     p.add_argument("--ratio-max", type=_finite_float, default=1e3)
-    _add_steps(p, "max(4096, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega")
+    _add_steps(p, "max(4096, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega, "
+                  "at most 2^20")
     p.set_defaults(func=_cmd_spin_spectrum)
 
     p = sub.add_parser("step-floquet",
@@ -366,8 +368,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = _render(args.func(args))
     except (ProfileError, ValueError) as exc:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._linops import TWO_PI, chain_matmul, count, oscillator_blocks, reduce_to_zone, resolve_steps
 from .profiles import DriveProfile, integration_segments, sample_segments
@@ -114,8 +113,12 @@ def _trace_root(family, goal, bracket, n_steps, xtol, what):
     brentq reports a bracket without a sign change as a ValueError, and any
     ValueError inside it becomes NoRootError naming `what`. So n_steps and
     the family members at both ends are checked before brentq starts, and a
-    configuration error raises its own message.
+    configuration error raises its own message. scipy.optimize is imported
+    here, on the first root search, so that importing the package does not
+    pay for it.
     """
+    from scipy.optimize import brentq
+
     n_steps = resolve_steps(n_steps)
     lo, hi = float(bracket[0]), float(bracket[1])
     family(lo), family(hi)

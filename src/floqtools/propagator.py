@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linops import (TWO_PI, _matmul2, chain_matmul, reduce_to_zone, require_finite,
                       resolve_steps)
@@ -247,6 +246,12 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     -------
     Unitary
         U(t_end, t_start), exactly unitary per step up to roundoff.
+
+    Raises
+    ------
+    FloatingPointError
+        When a sampled H(t), a CF4 combination of two samples, or a step
+        exponent H dt overflows (or turns invalid) from finite inputs.
     """
     n_steps = resolve_steps(n_steps)
     if order not in (2, 4):
@@ -259,14 +264,20 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
         return Unitary(np.eye(dim, dtype=complex))
     dt = span / n_steps
     base = t_start + dt * np.arange(n_steps)
-    if order == 2:
-        steps = _expm_batch(_sample_hamiltonian(h, base + 0.5 * dt), dt)
-    else:
-        h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
-        h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
-        first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
-        second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
-        steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
+    # The first overflow while H(t) is sampled, combined or exponentiated
+    # raises here, before a NaN reaches the unitarity check.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if order == 2:
+                steps = _expm_batch(_sample_hamiltonian(h, base + 0.5 * dt), dt)
+            else:
+                h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
+                h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
+                first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
+                second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
+                steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
+    except FloatingPointError:
+        raise FloatingPointError("result is not finite: a step of H(t) dt overflows") from None
     return Unitary(chain_matmul(steps))
 
 
@@ -287,7 +298,11 @@ def floquet_hamiltonian(u, t_period):
     cut. Any other generator of the same U differs by multiples of omega on
     eigenspaces. Degenerate eigenphases share one phase, so the unitary
     eigenbasis from the Schur form introduces no ordering ambiguity.
+    scipy.linalg is imported here, its one use, so that importing the
+    package does not pay for it.
     """
+    import scipy.linalg
+
     tri, z = scipy.linalg.schur(Unitary(u).matrix, output="complex")
     f, _ = _zone_energies(np.angle(np.diagonal(tri)), t_period)
     fm = (z * f) @ z.conj().T

@@ -27,6 +27,11 @@ from .propagator import (
 # 1e-7 residual bound needs more resolution than the global 4096 default.
 _VERIFY_STEPS_PER_PERIOD = 32768
 
+# Most steps per period the automatic rule of spin_spacing_from_propagator
+# may choose: about 0.46 GB at the ~440 bytes a CF4 step holds at its peak.
+# The rule reaches it near mu B / omega = 6.6e4.
+_MAX_AUTO_STEPS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class SpinParams:
@@ -119,9 +124,15 @@ def spin_quasienergy_spacing(params):
 def _auto_steps(params):
     # Fourth-order stepping: the per-period step count grows like
     # (coupling * period)^(3/4) to hold the quasienergy gap error near 1e-9
-    # of omega across mu B / omega up to 1e3.
+    # of omega across mu B / omega up to 1e3. Above _MAX_AUTO_STEPS the run
+    # cannot be afforded, so it fails before anything is allocated.
     phase = finite_product(abs(params.coupling), params.period)
-    return max(4096, int(math.ceil(64.0 * phase ** 0.75)))
+    n_steps = max(4096, int(math.ceil(64.0 * phase ** 0.75)))
+    if n_steps > _MAX_AUTO_STEPS:
+        raise ValueError(
+            f"mu B / omega = {abs(params.coupling) / params.omega:.6g} needs {n_steps} "
+            f"steps per period, more than the automatic limit of {_MAX_AUTO_STEPS}")
+    return n_steps
 
 
 def spin_spacing_from_propagator(params, n_steps=None):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floqtools
 from floqtools import cli
 from floqtools import spin_quasienergy_spacing, SpinParams
 
@@ -169,12 +174,22 @@ def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):
      "result is not finite: a drive amplitude overflows"),
     (("--mu", "1e300", "--B", "1e300", "--omega", "1", "--steps", "64"), 3,
      "result is not finite: a drive amplitude overflows"),
+    # mu B is finite, but the sampled Hamiltonian (1e308) or a step exponent
+    # H dt (1e307) is not.
+    (("--mu", "1e200", "--B", "1e108", "--omega", "1e-3", "--steps", "64"), 3,
+     "result is not finite"),
+    (("--mu", "1e200", "--B", "1e107", "--omega", "1e-3", "--steps", "64"), 3,
+     "result is not finite"),
+    # The automatic step rule would ask for 2.5e11 steps (1.85 TiB).
+    (("--mu", "1", "--B", "1e9", "--omega", "1e-3"), 2,
+     "mu B / omega = 1e+12 needs 253988980741 steps per period"),
 ])
-def test_spin_spectrum_overflow_fails_cleanly(argv, code, message, capsys):
+def test_spin_spectrum_overflow_fails_cleanly(argv, code, message, capsys, recwarn):
     assert run_cli("spin-spectrum", *argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_profile_number_exits_2_naming_it(capsys):
@@ -402,3 +417,69 @@ def test_planar_loop_polish_does_not_settle_on_a_stability_boundary(capsys):
     argv[argv.index("4")] = "2"
     assert run_cli(*argv) == 2
     assert "n_periods" in capsys.readouterr().err
+
+
+SRC = str(Path(floqtools.__file__).resolve().parents[1])
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports floqtools from this tree."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_importing_the_cli_loads_scipy_only_when_a_root_search_runs():
+    probe = fresh_python(
+        "import sys\n"
+        "def loaded(): return sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+        "import floqtools\n"
+        "print(loaded())\n"
+        "import floqtools.cli\n"
+        "print(loaded())\n"
+        "floqtools.cli.main(sys.argv[1:])\n"
+        "print('scipy.optimize' in sys.modules)\n",
+        "osc-loop-find", "--profile", CONST_PROFILE, "--bracket", "1", "2", "--steps", "64")
+    assert probe.returncode == 0, probe.stderr
+    lines = probe.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"]
+    assert lines[-1] == "True"
+
+
+def test_calls_in_one_process_match_fresh_interpreters_and_share_one_parser(
+        tmp_path, monkeypatch, capsys):
+    # argparse wraps its messages to the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    calls = [
+        ("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "0", "--beta0-max", "1",
+         "--points", "0"),
+        ("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "0", "--beta0-max", "3",
+         "--points", "4", "--steps", "256", "-o", "{out}"),
+        ("stability-scan", "--omega", str(TWO_PI), "--find-threshold"),
+        ("osc-loop-find", "--profile", CONST_PROFILE, "--bracket", "1", "2"),
+    ]
+    codes = []
+    for i, argv in enumerate(calls):
+        outputs = []
+        for side in ("in-process", "fresh"):
+            out = tmp_path / f"{side}-{i}.csv"
+            args = [str(out) if arg == "{out}" else arg for arg in argv]
+            if side == "fresh":
+                proc = fresh_python("import sys\nfrom floqtools import cli\n"
+                                    "sys.exit(cli.main(sys.argv[1:]))", *args)
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            else:
+                try:
+                    code = cli.main(args)
+                except SystemExit as exc:
+                    code = exc.code
+                stdout, stderr = capsys.readouterr()
+            outputs.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1], argv
+        codes.append(outputs[0][0])
+    assert codes == [2, 0, 0, 0]
+    assert len(builds) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from floqtools import spin_resonance
 from floqtools import (
     SIGMA_X,
     SpinParams,
@@ -146,6 +147,24 @@ def test_propagator_route_across_coupling_decades():
         params = SpinParams(1.0, ratio, 1.0)
         err = abs(spin_spacing_from_propagator(params) - spin_quasienergy_spacing(params))
         assert err < 1e-7, f"ratio {ratio}: error {err}"
+
+
+def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
+    # The rule max(4096, ceil(64 (|mu B| T)^0.75)) passes 2^20 steps near
+    # mu B / omega = 6.62e4.
+    asked = []
+
+    def no_evolve(h, t_end, n_steps, order):
+        asked.append(n_steps)
+        raise RuntimeError("evolve called")
+
+    monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
+    with pytest.raises(RuntimeError, match="evolve called"):
+        spin_spacing_from_propagator(SpinParams(1.0, 6.6e4, 1.0))
+    assert 2 ** 19 < asked[0] <= 2 ** 20
+    with pytest.raises(ValueError, match=r"mu B / omega = 67000 needs 1057721 steps"):
+        spin_spacing_from_propagator(SpinParams(1.0, 6.7e4, 1.0))
+    assert len(asked) == 1
 
 
 def test_propagator_route_folded_gap():
