@@ -1,6 +1,7 @@
 """Constants, step-count rules and small dense linear-algebra helpers shared by the solvers."""
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -52,11 +53,30 @@ def require_finite(**values):
 
 
 def finite_product(*factors):
-    """Product of the factors; FloatingPointError when finite factors overflow."""
-    result = math.prod(factors)
+    """Product of the factors; FloatingPointError when finite factors overflow.
+
+    The factors are multiplied as Python floats, whose overflow gives inf
+    without the RuntimeWarning a NumPy scalar prints.
+    """
+    result = math.prod(map(float, factors))
     if math.isinf(result) and all(map(math.isfinite, factors)):
         raise FloatingPointError("result is not finite: a drive amplitude overflows")
     return result
+
+
+@contextlib.contextmanager
+def raise_on_overflow(what):
+    """Run the block under np.errstate(over="raise", invalid="raise").
+
+    The first overflow or invalid value becomes FloatingPointError("result
+    is not finite: " + what), so no RuntimeWarning is printed and no NaN
+    leaves the block. Enter it once per call of a route, not per step.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise FloatingPointError(f"result is not finite: {what}") from None
 
 
 def _matmul2(a, b):

@@ -49,7 +49,11 @@ def _fmt(value):
 def _render(result):
     """Output text of a command: JSON for a dict, CSV for a (header, rows) pair.
 
-    Raises FloatingPointError when the result holds a non-finite number.
+    rows is a sequence of rows, each cell formatted by _fmt, or a 2-d float
+    array, formatted with the one "%.12g" that _fmt gives a float (the same
+    CPython routine) in a single string operation once the whole table is
+    known to be finite. Raises FloatingPointError when the result holds a
+    non-finite number; for a table it names the first one in row order.
     """
     if isinstance(result, dict):
         try:
@@ -57,6 +61,13 @@ def _render(result):
         except ValueError:
             raise FloatingPointError("result is not finite") from None
     header, rows = result
+    if isinstance(rows, np.ndarray):
+        finite = np.isfinite(rows)
+        if not finite.all():
+            _fmt(float(rows[~finite][0]))  # raises the row route's message
+        n_rows, n_cols = rows.shape
+        line = ",".join(["%.12g"] * n_cols) + "\n"
+        return ",".join(header) + "\n" + line * n_rows % tuple(rows.ravel().tolist())
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -176,7 +187,7 @@ def _cmd_osc_trajectory(args):
     profile = _load_profile(args.profile)
     path = hill.classical_trajectory(profile, (args.q0, args.p0), args.t_end,
                                      args.samples)
-    return ("t", "q", "p"), path.tolist()
+    return ("t", "q", "p"), path
 
 
 def _cmd_planar_loop(args):

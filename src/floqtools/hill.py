@@ -12,7 +12,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._linops import TWO_PI, chain_matmul, count, oscillator_blocks, reduce_to_zone, resolve_steps
+from ._linops import (TWO_PI, chain_matmul, count, oscillator_blocks, raise_on_overflow,
+                      reduce_to_zone, resolve_steps)
 from .profiles import DriveProfile, integration_segments, sample_segments
 
 ELLIPTIC = "elliptic"
@@ -187,15 +188,20 @@ def _radial_samples(profile, state0, t_end, n_steps):
     and angles[k] the sum of beta dt up to it. The grid is cut once by
     sample_segments, so steps profiles are split at the drive
     discontinuities and the other kinds take one midpoint per interval.
+    Each step writes np.dot(block, state) into the preallocated states,
+    with no new array per block.
+
+    Raises FloatingPointError at the first overflow or invalid value.
     """
     times = np.linspace(0.0, float(t_end), resolve_steps(n_steps) + 1)
     dts, betas, ends = sample_segments(profile, times)
     state = np.asarray(state0, dtype=float)
     states = np.empty((len(dts) + 1,) + state.shape)
     states[0] = state
-    for k, block in enumerate(oscillator_blocks(betas, dts), 1):
-        states[k] = state = block @ state
-    angles = np.concatenate([[0.0], np.cumsum(betas * dts)])
+    with raise_on_overflow("the sampled radial flow overflows"):
+        for block, prev, step in zip(oscillator_blocks(betas, dts), states, states[1:]):
+            np.dot(block, prev, out=step)
+        angles = np.concatenate([[0.0], np.cumsum(betas * dts)])
     return times, states[ends], angles[ends]
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import TWO_PI, count, finite_product, require_finite, rotation2
+from ._linops import (TWO_PI, count, finite_product, raise_on_overflow, require_finite,
+                      rotation2)
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -76,7 +77,8 @@ def rotating_frame_reduction(profile, n_periods=1, n_steps=None):
     """
     n_periods = count(n_periods, "n_periods", 1)
     theta = n_periods * beta_period_integral(profile)
-    m_radial = np.linalg.matrix_power(hill.monodromy(profile, n_steps), n_periods)
+    with raise_on_overflow("the planar monodromy overflows"):
+        m_radial = np.linalg.matrix_power(hill.monodromy(profile, n_steps), n_periods)
     return theta, m_radial
 
 
@@ -87,7 +89,9 @@ def reconstruct_planar(theta, m_radial):
     Positive theta rotates with the [[cos, sin], [-sin, cos]] convention,
     matching the sense of the constant-drive analytic solution.
     """
-    return np.kron(np.eye(2), rotation2(theta)) @ np.kron(np.asarray(m_radial, float), np.eye(2))
+    with raise_on_overflow("the planar monodromy overflows"):
+        return (np.kron(np.eye(2), rotation2(theta))
+                @ np.kron(np.asarray(m_radial, float), np.eye(2)))
 
 
 def planar_loop_check(profile, n_periods, tol=1e-2, n_steps=None):

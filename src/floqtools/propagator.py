@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import (TWO_PI, _matmul2, chain_matmul, reduce_to_zone, require_finite,
-                      resolve_steps)
+from ._linops import (TWO_PI, _matmul2, chain_matmul, raise_on_overflow, reduce_to_zone,
+                      require_finite, resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -266,18 +266,15 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     base = t_start + dt * np.arange(n_steps)
     # The first overflow while H(t) is sampled, combined or exponentiated
     # raises here, before a NaN reaches the unitarity check.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if order == 2:
-                steps = _expm_batch(_sample_hamiltonian(h, base + 0.5 * dt), dt)
-            else:
-                h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
-                h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
-                first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
-                second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
-                steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
-    except FloatingPointError:
-        raise FloatingPointError("result is not finite: a step of H(t) dt overflows") from None
+    with raise_on_overflow("a step of H(t) dt overflows"):
+        if order == 2:
+            steps = _expm_batch(_sample_hamiltonian(h, base + 0.5 * dt), dt)
+        else:
+            h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
+            h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
+            first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
+            second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
+            steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
     return Unitary(chain_matmul(steps))
 
 

@@ -124,7 +124,7 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
     ("planar-loop", "--beta0", "0.785", "--beta1", "1.75e308", "--omega", str(TWO_PI),
      "--periods", "24", "--polish", "--steps", "64"),
 ])
-def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys):
+def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys, recwarn):
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -132,6 +132,52 @@ def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys):
     out = tmp_path / "result"
     assert run_cli(*argv, "-o", str(out)) == 3
     assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _writer_table():
+    special = [-0.0, 0.0, 5e-324, 1e-300, 1e16, 123456789012.5, 2.0]
+    normals = np.random.default_rng(10).standard_normal(41)
+    return np.concatenate([special, -np.array(special), normals]).reshape(-1, 5)
+
+
+def test_array_and_row_tables_render_the_same_text():
+    header = ("a", "b", "c", "d", "e")
+    table = _writer_table()
+    text = cli._render((header, table))
+    assert text == cli._render((header, table.tolist()))
+    assert text.splitlines()[1] == "-0,0,4.94065645841e-324,1e-300,1e+16"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_array_and_row_tables_reject_the_same_first_non_finite_cell(value):
+    table = _writer_table()
+    table[3, 2] = value
+    table[5, 0] = math.nan
+    messages = []
+    for rows in (table, table.tolist()):
+        with pytest.raises(FloatingPointError) as excinfo:
+            cli._render((("a", "b", "c", "d", "e"), rows))
+        messages.append(str(excinfo.value))
+    assert messages == [f"result is not finite: {value}"] * 2
+
+
+@pytest.mark.parametrize("profile", [
+    SIN_PROFILE,
+    '{"kind": "steps", "steps": [[1.7, 0.3], [-0.4, 0.45], [0.9, 0.25]]}',
+])
+def test_osc_trajectory_prints_the_classical_trajectory(profile, tmp_path, capsys):
+    argv = ("osc-trajectory", "--profile", profile, "--q0", "0.3", "--p0", "-1.2",
+            "--t-end", "7.5", "--samples", "300")
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out
+    path = floqtools.classical_trajectory(floqtools.profile_from_json(profile), (0.3, -1.2),
+                                          7.5, 300)
+    assert printed == "t,q,p\n" + "".join(
+        ",".join(map(cli._fmt, row)) + "\n" for row in path.tolist())
+    out = tmp_path / "path.csv"
+    assert run_cli(*argv, "-o", str(out)) == 0
+    assert out.read_bytes() == printed.encode()
 
 
 @pytest.mark.parametrize("argv", [
