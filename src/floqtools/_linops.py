@@ -45,10 +45,23 @@ def reduce_to_zone(values, omega):
     return out if x.ndim else float(out)
 
 
+def is_finite_number(value):
+    """True for a finite int or float (numpy ones included), False for bool and all else.
+
+    json.loads accepts the literals NaN and Infinity; they are rejected here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def require_finite(**values):
-    """Raise ValueError naming the first keyword whose value is not finite."""
+    """Raise ValueError naming the first keyword whose value is not a finite number."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not is_finite_number(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -80,11 +93,14 @@ def raise_on_overflow(what):
 
 
 def _matmul2(a, b):
-    """a @ b for two (n, 2, 2) stacks, entry by entry (a e + b g, ...).
+    """a @ b for two (n, d, d) stacks; complex 2x2 ones entry by entry (a e + b g, ...).
 
-    Several times faster than np.matmul on complex stacks, whose per-matrix
-    calls dominate at 2x2; on real stacks np.matmul is the faster one.
+    That is several times faster than np.matmul, whose per-matrix calls
+    dominate at 2x2; on real stacks (every Hill monodromy) and larger ones
+    np.matmul is the faster one.
     """
+    if a.shape[1:] != (2, 2) or a.dtype.kind != "c":
+        return np.matmul(a, b)
     out = np.empty(a.shape, np.result_type(a, b))
     for i in range(2):
         for j in range(2):
@@ -97,16 +113,14 @@ def chain_matmul(mats):
 
     Pairwise reduction keeps the number of sequential matmuls logarithmic,
     which matters for the 10^4..10^5 step chains the integrators produce.
-    Complex 2x2 stacks are multiplied entry by entry; real ones (every Hill
-    monodromy) and larger ones through np.matmul.
+    Each round multiplies through _matmul2.
     """
     m = np.asarray(mats)
     if m.ndim != 3 or m.shape[0] == 0:
         raise ValueError("expected a non-empty stack of matrices")
-    matmul = _matmul2 if m.shape[1:] == (2, 2) and m.dtype.kind == "c" else np.matmul
     while m.shape[0] > 1:
         even = m.shape[0] - (m.shape[0] % 2)
-        head = matmul(m[1:even:2], m[0:even:2])
+        head = _matmul2(m[1:even:2], m[0:even:2])
         if even == m.shape[0]:
             m = head
         else:

@@ -17,12 +17,11 @@ import numpy as np
 
 from . import __version__
 from . import fields, hill, planar_charge, spin_resonance
-from ._linops import TWO_PI
+from ._linops import TWO_PI, is_finite_number
 from .profiles import (
     DriveProfile,
     ProfileError,
     beta_period_integral,
-    is_finite_number,
     profile_from_json,
     with_amplitude,
 )

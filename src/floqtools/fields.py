@@ -136,18 +136,21 @@ def nodal_approx_error(trap, radius, t_grid, n_dirs=64):
 
     Maximum of |A(x, t) - B(t) x r / 2| over a sphere of the given radius and
     the time grid, normalized by the largest |B(t) x r / 2| over the same
-    set. Scales as (k radius)^2.
+    set. Scales as (k radius)^2. A radius or time that is not finite raises
+    ValueError.
     """
+    require_finite(radius=radius)
     if radius < 0:
         raise ValueError("radius must be non-negative")
     dirs = _fibonacci_sphere(count(n_dirs, "n_dirs", 1))
     worst_dev = 0.0
     worst_ref = 0.0
     for t in t_grid:
+        require_finite(t_grid=t)
         b = rotating_nodal_field(trap, t)
         for direction in dirs:
             x = radius * direction
-            ref = 0.5 * np.cross(b, x)
+            ref = uniform_field_potential(b, x)
             dev = vector_potential_rotating(trap, x, t) - ref
             worst_dev = max(worst_dev, float(np.linalg.norm(dev)))
             worst_ref = max(worst_ref, float(np.linalg.norm(ref)))

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._linops import (TWO_PI, chain_matmul, count, oscillator_blocks, raise_on_overflow,
-                      reduce_to_zone, resolve_steps)
+                      reduce_to_zone, require_finite, resolve_steps)
 from .profiles import DriveProfile, integration_segments, sample_segments
 
 ELLIPTIC = "elliptic"
@@ -86,6 +86,10 @@ def floquet_result(m, t_period, n_max=64):
     """
     n_max = count(n_max, "n_max", 0)
     m = np.asarray(m, dtype=float)
+    if not all(map(math.isfinite, m.flat)):
+        raise ValueError("monodromy must be finite")
+    if not 0 < t_period < math.inf:
+        raise ValueError("period must be positive and finite")
     tr = float(np.trace(m))
     stability = classify_trace(tr)
     omega_f = None
@@ -161,19 +165,25 @@ def loop_order_for_angle(target_angle, n_max=512):
 
 
 def omega_F_scan(family, beta0_grid, n_steps=None):
-    """Table of (beta0, trace, stability, omega_F) across an amplitude grid."""
+    """Table of (beta0, trace, stability, omega_F) across an amplitude grid.
+
+    Every profile is built before the first monodromy, so a profile error
+    raises its own message; a monodromy that overflows raises
+    FloatingPointError.
+    """
+    profiles = [(float(beta0), family(beta0)) for beta0 in beta0_grid]
     rows = []
-    for beta0 in beta0_grid:
-        profile = family(beta0)
-        res = floquet_result(monodromy(profile, n_steps), profile.period, n_max=0)
-        rows.append(SweepPoint(float(beta0), res.trace, res.stability, res.omega_F))
+    with raise_on_overflow("the monodromy overflows"):
+        for beta0, profile in profiles:
+            res = floquet_result(monodromy(profile, n_steps), profile.period, n_max=0)
+            rows.append(SweepPoint(beta0, res.trace, res.stability, res.omega_F))
     return rows
 
 
 def oscillator_quasienergies(omega_f, omega, n_levels):
     """Ladder omega_F (n + 1/2), each level reduced to (-omega/2, omega/2]."""
-    if omega_f < 0:
-        raise ValueError("omega_F must be non-negative")
+    if not 0 <= omega_f < math.inf:
+        raise ValueError("omega_F must be non-negative and finite")
     if not 0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
     levels = omega_f * (np.arange(count(n_levels, "n_levels", 1)) + 0.5)
@@ -191,11 +201,15 @@ def _radial_samples(profile, state0, t_end, n_steps):
     Each step writes np.dot(block, state) into the preallocated states,
     with no new array per block.
 
-    Raises FloatingPointError at the first overflow or invalid value.
+    Raises ValueError for a t_end or state0 that is not finite, and
+    FloatingPointError at the first overflow or invalid value.
     """
+    require_finite(t_end=t_end)
+    state = np.asarray(state0, dtype=float)
+    if not np.isfinite(state).all():
+        raise ValueError("state0 must be finite")
     times = np.linspace(0.0, float(t_end), resolve_steps(n_steps) + 1)
     dts, betas, ends = sample_segments(profile, times)
-    state = np.asarray(state0, dtype=float)
     states = np.empty((len(dts) + 1,) + state.shape)
     states[0] = state
     with raise_on_overflow("the sampled radial flow overflows"):

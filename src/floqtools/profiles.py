@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._linops import TWO_PI, count, finite_product, resolve_steps
+from ._linops import TWO_PI, count, finite_product, is_finite_number, resolve_steps
 
 PROFILE_KINDS = ("constant", "steps", "sin", "offset_sin")
 
@@ -196,16 +196,6 @@ _UNUSED_FIELDS = {
                 if field.name not in ("kind", "period") + required)
     for kind, (required, _) in _JSON_FIELDS.items()
 }
-
-
-def is_finite_number(value):
-    # json.loads accepts the literals NaN and Infinity; they are rejected here.
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _finite(value, field):

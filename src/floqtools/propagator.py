@@ -165,8 +165,8 @@ def _expm_batch(hs, dt):
 def expm_hermitian(h, t):
     """exp(-i t H) through eigendecomposition; unitary up to roundoff."""
     hm = as_hermitian(h)
-    t = float(t)
     require_finite(t=t)
+    t = float(t)
     return Unitary(_expm_batch(hm[None], t)[0])
 
 
@@ -181,21 +181,16 @@ def step_evolve(pattern, t):
     """U(t, 0) of a periodically repeated step pattern.
 
     Whole periods use the one-period propagator; the step straddling t is
-    split exactly.
+    split exactly. divmod gives the exact remainder of t in [0, T).
     """
     if not isinstance(pattern, StepPattern):
         pattern = StepPattern(tuple(pattern))
-    t = float(t)
     require_finite(t=t)
+    t = float(t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    period = pattern.period
-    n_full = int(math.floor(t / period))
-    remainder = t - n_full * period
-    if remainder >= period:  # float round-up at a period boundary
-        remainder -= period
-        n_full += 1
-    u = np.linalg.matrix_power(step_propagator(pattern).matrix, n_full)
+    n_full, remainder = divmod(t, pattern.period)
+    u = np.linalg.matrix_power(step_propagator(pattern).matrix, int(n_full))
     left = remainder
     for h, tau in pattern.steps:
         if left <= 0:
@@ -221,8 +216,15 @@ def _sample_hamiltonian(h, times):
     return _hermitian(hs)
 
 
-def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
+def evolve(h, t_end, n_steps=None, t_start=0.0):
     """Integrate i dU/dt = H(t) U across [t_start, t_end].
+
+    Each fixed step dt is the fourth-order commutator-free pair of
+    exponentials on the two Gauss nodes t + c1 dt, t + c2 dt (Alvermann and
+    Fehske, J. Comput. Phys. 230 (2011) 5930):
+    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). For d = 2 the
+    exponentials are taken in closed form (see _expm_batch) and the products
+    entry by entry (see _matmul2); larger d uses eigh and np.matmul.
 
     Parameters
     ----------
@@ -234,13 +236,6 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
         Integration span.
     n_steps : int, optional
         Number of fixed steps across the span (default: default_steps()).
-    order : {2, 4}
-        2 selects midpoint-exponential stepping, exp(-i dt H(t_mid)) per
-        step: exactly unitary, second-order accurate. 4 selects a
-        two-exponential commutator-free scheme on Gauss nodes for stiff
-        drives. For d = 2 the step exponentials are taken in closed form
-        (see _expm_batch) and the products entry by entry; larger d uses
-        eigh and np.matmul. The step counts do not depend on d.
 
     Returns
     -------
@@ -250,14 +245,12 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     Raises
     ------
     FloatingPointError
-        When a sampled H(t), a CF4 combination of two samples, or a step
+        When a sampled H(t), a combination of two samples, or a step
         exponent H dt overflows (or turns invalid) from finite inputs.
     """
     n_steps = resolve_steps(n_steps)
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    t_start, t_end = float(t_start), float(t_end)
     require_finite(t_start=t_start, t_end=t_end)
+    t_start, t_end = float(t_start), float(t_end)
     span = t_end - t_start
     if span == 0.0:
         dim = as_hermitian(h(t_start)).shape[0]
@@ -267,14 +260,11 @@ def evolve(h, t_end, n_steps=None, t_start=0.0, order=2):
     # The first overflow while H(t) is sampled, combined or exponentiated
     # raises here, before a NaN reaches the unitarity check.
     with raise_on_overflow("a step of H(t) dt overflows"):
-        if order == 2:
-            steps = _expm_batch(_sample_hamiltonian(h, base + 0.5 * dt), dt)
-        else:
-            h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
-            h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
-            first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
-            second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
-            steps = (_matmul2 if h1.shape[1:] == (2, 2) else np.matmul)(second, first)
+        h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
+        h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
+        first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
+        second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
+        steps = _matmul2(second, first)
     return Unitary(chain_matmul(steps))
 
 

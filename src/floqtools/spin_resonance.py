@@ -23,13 +23,9 @@ from .propagator import (
     reduce_to_zone,
 )
 
-# Steps per period used by the factorization check when none are given; the
-# 1e-7 residual bound needs more resolution than the global 4096 default.
-_VERIFY_STEPS_PER_PERIOD = 32768
-
 # Most steps per period the automatic rule of spin_spacing_from_propagator
-# may choose: about 0.46 GB at the ~440 bytes a CF4 step holds at its peak.
-# The rule reaches it near mu B / omega = 6.6e4.
+# and verify_factorization may choose: about 0.46 GB at the ~440 bytes a CF4
+# step holds at its peak. The rule reaches it near mu B / omega = 6.6e4.
 _MAX_AUTO_STEPS = 2 ** 20
 
 
@@ -93,12 +89,11 @@ def rotating_frame_factor(params, t):
 def verify_factorization(params, t_grid, n_steps=None):
     """Max-norm residual of U(t,0) against frame(t) exp(-i t F) over t_grid.
 
-    U(t,0) comes from direct midpoint-exponential integration of the
-    instantaneous Hamiltonian; n_steps counts integrator steps per drive
-    period (default 32768, chosen so the residual is integrator-limited well
-    below 1e-7 for moderate couplings).
+    U(t,0) comes from direct integration of the instantaneous Hamiltonian
+    with evolve; n_steps counts integrator steps per drive period (default:
+    the rule of spin_spacing_from_propagator, with its cap).
     """
-    per_period = _VERIFY_STEPS_PER_PERIOD if n_steps is None else resolve_steps(n_steps)
+    per_period = _auto_steps(params) if n_steps is None else resolve_steps(n_steps)
     generator = spin_floquet_generator(params)
     period = params.period
     worst = 0.0
@@ -146,7 +141,7 @@ def spin_spacing_from_propagator(params, n_steps=None):
     if n_steps is None:
         n_steps = _auto_steps(params)
     period = params.period
-    u = evolve(lambda s: spin_instantaneous(params, s), period, n_steps, order=4)
+    u = evolve(lambda s: spin_instantaneous(params, s), period, n_steps)
     eps = quasienergies(u, period).values
     gap = abs(reduce_to_zone(float(eps[-1] - eps[0]), params.omega))
     exact = spin_quasienergy_spacing(params)

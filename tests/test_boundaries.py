@@ -1,4 +1,4 @@
-"""Count parameters at the library boundary, and the import graph of the Hill stack."""
+"""Count and non-finite inputs at the library boundary, and the Hill stack import graph."""
 import ast
 import math
 from pathlib import Path
@@ -18,6 +18,7 @@ from floqtools import (
     monodromy,
     nodal_approx_error,
     oscillator_quasienergies,
+    planar_trajectory,
     polish_loop_beta1,
     rotating_frame_reduction,
 )
@@ -56,6 +57,35 @@ COUNT_SITES = [
 def test_count_rejects_non_integers_naming_the_parameter(name, call, value):
     with pytest.raises(ValueError, match=name):
         call(value)
+
+
+# Each call passes one input that is NaN, infinite or out of range, named by
+# the first entry.
+HILL_SITES = [
+    pytest.param("t_end", lambda: classical_trajectory(SIN, (1.0, 0.0), math.nan, 4),
+                 id="classical_trajectory-t_end"),
+    pytest.param("state0", lambda: classical_trajectory(SIN, (math.nan, 0.0), 1.0, 4),
+                 id="classical_trajectory-state0"),
+    pytest.param("t_end", lambda: planar_trajectory(SIN, (1.0, 0.0, 0.0, 1.0), math.nan, 4),
+                 id="planar_trajectory-t_end"),
+    pytest.param("state0", lambda: planar_trajectory(SIN, (1.0, 0.0, math.inf, 1.0), 1.0, 4),
+                 id="planar_trajectory-state0"),
+    pytest.param("period", lambda: floquet_result(np.eye(2), 0.0), id="floquet_result-zero"),
+    pytest.param("period", lambda: floquet_result(np.eye(2), math.nan), id="floquet_result-nan"),
+    pytest.param("monodromy", lambda: floquet_result(np.full((2, 2), math.nan), 1.0),
+                 id="floquet_result-matrix"),
+    pytest.param("omega_F", lambda: oscillator_quasienergies(math.nan, 2.0, 3),
+                 id="oscillator_quasienergies-nan"),
+    pytest.param("omega_F", lambda: oscillator_quasienergies(math.inf, 2.0, 3),
+                 id="oscillator_quasienergies-inf"),
+]
+
+
+@pytest.mark.parametrize("name, call", HILL_SITES)
+def test_hill_routine_rejects_a_non_finite_input_naming_it(name, call, recwarn):
+    with pytest.raises(ValueError, match=name):
+        call()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_count_accepts_numpy_integers():

@@ -135,6 +135,19 @@ def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys, recwar
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflowing_sweep_monodromy_exits_3_without_warning(capsys, recwarn):
+    # The outer steps of the monodromy multiply to ~1e600 while every input
+    # number is finite.
+    profile = '{"kind":"steps","steps":[[1e300,1],[1e-300,1],[1e300,1]]}'
+    code = run_cli("osc-spectrum", "--profile", profile, "--beta0-min", "1",
+                   "--beta0-max", "1", "--points", "1")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: result is not finite: the monodromy overflows\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _writer_table():
     special = [-0.0, 0.0, 5e-324, 1e-300, 1e16, 123456789012.5, 2.0]
     normals = np.random.default_rng(10).standard_normal(41)

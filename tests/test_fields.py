@@ -152,6 +152,17 @@ def test_nodal_error_small_inside_a_thousandth_wavelength(trap):
     assert nodal_approx_error(trap, 1e-3 * wavelength_scale, t_grid) < 1e-5
 
 
+@pytest.mark.parametrize("name, radius, t_grid", [
+    pytest.param("radius", math.nan, [0.0], id="radius-nan"),
+    pytest.param("radius", math.inf, [0.0], id="radius-inf"),
+    pytest.param("t_grid", 1e-3, [math.nan], id="time-nan"),
+    pytest.param("t_grid", 1e-3, [0.0, math.nan], id="later-time-nan"),
+])
+def test_nodal_error_rejects_a_non_finite_radius_or_time(trap, name, radius, t_grid):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        nodal_approx_error(trap, radius, t_grid)
+
+
 def test_nodal_error_scales_quadratically(trap):
     t_grid = np.linspace(0.0, 1.0, 5)
     wavelength_scale = trap.light_speed / trap.omega

@@ -1,8 +1,9 @@
-"""Property tests of the library constructors and the profile JSON schema."""
+"""Property tests of the library constructors, the profile JSON schema and step_evolve."""
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,11 @@ from floqtools import (
     DriveProfile,
     PhysicalParams,
     SpinParams,
+    StepPattern,
     TrapField,
     profile_from_json,
     profile_to_json,
+    step_evolve,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -24,6 +27,9 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 finite = st.floats(min_value=-1e6, max_value=1e6)
 positive = st.floats(min_value=1e-3, max_value=1e3)
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# Values that are not finite numbers, among them a bool, None, a string and an
+# integer too large for a float.
+not_a_finite_number = st.sampled_from([math.nan, math.inf, -math.inf, True, None, "1", 10 ** 400])
 
 PROFILES = {
     "constant": st.builds(DriveProfile.constant, finite, positive),
@@ -63,7 +69,7 @@ CONSTRUCTORS = {
     pytest.param(build, names, name, id=f"{label}-{name}")
     for label, (build, names) in CONSTRUCTORS.items() for name in names])
 @PROPERTY
-@given(data=st.data(), bad=non_finite)
+@given(data=st.data(), bad=not_a_finite_number)
 def test_constructor_rejects_a_non_finite_field(build, names, name, data, bad):
     kwargs = {key: data.draw(positive, label=key) for key in names}
     kwargs[name] = bad
@@ -82,3 +88,28 @@ def test_profile_rejects_a_non_finite_step(steps, index, slot, bad):
     steps[index] = tuple(pair)
     with pytest.raises(ValueError, match=rf"field 'steps'\[{index}\] must contain finite numbers"):
         DriveProfile.from_steps(steps)
+
+
+def _hermitian(dim):
+    """Hermitian dim x dim matrices with entries of magnitude up to 2."""
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=2 * dim * dim, max_size=2 * dim * dim)
+
+    def build(values):
+        re, im = np.reshape(values, (2, dim, dim))
+        m = re + 1j * im
+        return m + m.conj().T
+
+    return entries.map(build)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@PROPERTY
+@given(data=st.data(), t=st.floats(0.0, 10.0))
+def test_step_evolve_composes_with_a_whole_period(dim, data, t):
+    # U(t + T) = U(t) U(T) for a T-periodic drive.
+    steps = data.draw(st.lists(st.tuples(_hermitian(dim), st.floats(0.05, 2.0)),
+                               min_size=1, max_size=3))
+    pattern = StepPattern(tuple(steps))
+    later = step_evolve(pattern, t + pattern.period).matrix
+    composed = step_evolve(pattern, t).matrix @ step_evolve(pattern, pattern.period).matrix
+    assert np.abs(later - composed).max() <= 1e-12

@@ -100,11 +100,11 @@ def test_factorization_residual_small_at_default_resolution():
     assert verify_factorization(SpinParams(1.0, 1.0, 1.0), (0.1, 1.0, 5.0)) < 1e-7
 
 
-def test_factorization_residual_is_second_order():
+def test_factorization_residual_is_fourth_order():
     params = SpinParams(1.0, 1.0, 1.0)
-    coarse = verify_factorization(params, (5.0,), n_steps=8192)
-    fine = verify_factorization(params, (5.0,), n_steps=16384)
-    assert 3.5 < coarse / fine < 4.5
+    coarse = verify_factorization(params, (5.0,), n_steps=64)
+    fine = verify_factorization(params, (5.0,), n_steps=128)
+    assert 14.0 < coarse / fine < 18.0
 
 
 def test_factorization_rejects_zero_steps():
@@ -154,7 +154,7 @@ def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
     # mu B / omega = 6.62e4.
     asked = []
 
-    def no_evolve(h, t_end, n_steps, order):
+    def no_evolve(h, t_end, n_steps):
         asked.append(n_steps)
         raise RuntimeError("evolve called")
 

@@ -4,7 +4,9 @@
 
 Runs each operation of bench/workloads.build(name, seed) in process through
 floqtools.cli.main, from the src/ tree next to this script, with
-FLOQUET_STEPS unset. Prints one line per operation: workload, seed, operation
+FLOQUET_STEPS unset, and then the fixed EXTRA argvs under the workload name
+`extra` (seed 0): the subcommands and options no workload runs, and runs
+that exit 2 or 3. Prints one line per operation: workload, seed, operation
 name, exit code, and the sha256 of stdout and of stderr. A refactor that
 keeps the output byte-identical gives the same lines at the parent commit
 and at the change, so `diff` of the two runs is empty.
@@ -24,9 +26,41 @@ os.environ.pop("FLOQUET_STEPS", None)
 import workloads  # noqa: E402
 from floqtools import cli  # noqa: E402
 
+SIN_NO_OMEGA = '{"kind": "sin", "beta0": 1.0}'
+ONE_STEP = ('{"steps": [{"hamiltonian": [[0.5, [0.3, -0.2]], [[0.3, 0.2], -0.25]], '
+            '"duration": 0.7}]}')
+FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179586",
+                "--x", "0.01", "-0.02", "0.03", "--t", "0.1"]
+
+# (operation name, argv) of the runs no workload makes.
+EXTRA = [
+    ("spin-spectrum/point", ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]),
+    ("spin-spectrum/point-steps", ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1",
+                                   "--steps", "512"]),
+    ("fields-probe/rotating", FIELDS_PROBE + ["--mode", "rotating"]),
+    ("fields-probe/standing", FIELDS_PROBE + ["--mode", "standing"]),
+    ("planar-loop/check", ["planar-loop", "--beta0", "0.785", "--beta1", "0.946",
+                           "--omega", "6.283185307179586", "--periods", "24"]),
+    ("step-floquet/one-step", ["step-floquet", "--pattern", ONE_STEP]),
+    ("osc-spectrum/exit-2", ["osc-spectrum", "--profile", SIN_NO_OMEGA, "--beta0-min", "0",
+                             "--beta0-max", "1", "--points", "2"]),
+    ("osc-loop-find/exit-3", ["osc-loop-find", "--profile", '{"kind": "constant", "beta0": 1.0}',
+                              "--bracket", "0.1", "0.2"]),
+    ("osc-trajectory/exit-3", ["osc-trajectory", "--profile",
+                               '{"kind": "constant", "beta0": 1e300}', "--t-end", "1e10",
+                               "--samples", "2"]),
+]
+
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(name, seed, kind, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(name, seed, kind, code, sha(out.getvalue()), sha(err.getvalue()))
 
 
 def main(argv=None):
@@ -36,10 +70,9 @@ def main(argv=None):
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
             for op in workloads.build(name, seed).ops:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(op.argv)
-                print(name, seed, op.kind, code, sha(out.getvalue()), sha(err.getvalue()))
+                digest(name, seed, op.kind, op.argv)
+    for kind, extra_argv in EXTRA:
+        digest("extra", 0, kind, extra_argv)
 
 
 if __name__ == "__main__":
