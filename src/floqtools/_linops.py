@@ -24,12 +24,20 @@ def default_steps():
     return value
 
 
+def _shown(value):
+    """str(value) for an error message; an integer too long for decimal text by its bit length."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        return f"an integer of {value.bit_length()} bits"
+
+
 def count(value, name, minimum):
     """value as an int; ValueError naming name unless it is a non-bool integer >= minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
@@ -62,7 +70,7 @@ def require_finite(**values):
     """Raise ValueError naming the first keyword whose value is not a finite number."""
     for name, value in values.items():
         if not is_finite_number(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
 def finite_product(*factors):
@@ -126,6 +134,29 @@ def chain_matmul(mats):
         else:
             m = np.concatenate([head, m[-1:]], axis=0)
     return m[0]
+
+
+def _streamed_chain_matmul(stack, n, size):
+    """chain_matmul of n matrices built chunk by chunk; stack(lo, hi) builds lo..hi-1.
+
+    The chunks are aligned runs of size matrices, and the last one takes the
+    remainder, so it holds from size to 2 size - 1 of them (all n when
+    n < 2 size): only n == 1 gives a chunk of one matrix. Each aligned block
+    of size matrices, and the tail of the last chunk, is reduced by its own
+    chain_matmul, and the partial products by one more; a single partial is
+    returned as it is. So fewer than 2 size matrices are held at once.
+
+    For size = 2^k the result is bit for bit chain_matmul of all n at once:
+    that pairs neighbours round by round and carries an odd last element,
+    so after k rounds it holds exactly these partial products, in this
+    order, each formed by the same products.
+    """
+    bounds = [j * size for j in range(max(1, n // size))] + [n]
+    partials = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = stack(lo, hi)
+        partials += [chain_matmul(chunk[i:i + size]) for i in range(0, hi - lo, size)]
+    return partials[0] if len(partials) == 1 else chain_matmul(partials)
 
 
 def oscillator_blocks(betas, dts):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import fields, hill, planar_charge, spin_resonance
-from ._linops import TWO_PI, is_finite_number
+from ._linops import TWO_PI, is_finite_number, raise_on_overflow
 from .profiles import (
     DriveProfile,
     ProfileError,
@@ -177,8 +177,9 @@ def _cmd_osc_loop_find(args):
         "loop_order": order,
     }
     if order is not None:
-        report["loop_deviation"] = hill.loop_deviation(
-            hill.monodromy(family(beta0), args.steps), order)
+        with raise_on_overflow("the monodromy overflows"):
+            report["loop_deviation"] = hill.loop_deviation(
+                hill.monodromy(family(beta0), args.steps), order)
     return report
 
 

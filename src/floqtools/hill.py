@@ -118,9 +118,11 @@ def _trace_root(family, goal, bracket, n_steps, xtol, what):
     brentq reports a bracket without a sign change as a ValueError, and any
     ValueError inside it becomes NoRootError naming `what`. So n_steps and
     the family members at both ends are checked before brentq starts, and a
-    configuration error raises its own message. scipy.optimize is imported
-    here, on the first root search, so that importing the package does not
-    pay for it.
+    configuration error raises its own message. Brent's method runs under
+    raise_on_overflow, so a monodromy that overflows raises
+    FloatingPointError, which is not a ValueError. scipy.optimize is
+    imported here, on the first root search, so that importing the package
+    does not pay for it.
     """
     from scipy.optimize import brentq
 
@@ -128,8 +130,9 @@ def _trace_root(family, goal, bracket, n_steps, xtol, what):
     lo, hi = float(bracket[0]), float(bracket[1])
     family(lo), family(hi)
     try:
-        return float(brentq(lambda x: float(np.trace(monodromy(family(x), n_steps))) - goal,
-                            lo, hi, xtol=xtol))
+        with raise_on_overflow("the monodromy overflows"):
+            return float(brentq(lambda x: float(np.trace(monodromy(family(x), n_steps))) - goal,
+                                lo, hi, xtol=xtol))
     except ValueError as exc:
         raise NoRootError(f"no {what} inside bracket ({lo:g}, {hi:g})") from exc
 

@@ -133,7 +133,8 @@ def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=
     """
     n_periods = count(n_periods, "n_periods", 3)
     family = lambda b1: DriveProfile.offset_sinusoid(beta0, b1, omega)  # noqa: E731
-    angle = hill.floquet_angle(float(np.trace(hill.monodromy(family(beta1), n_steps))))
+    with raise_on_overflow("the monodromy overflows"):
+        angle = hill.floquet_angle(float(np.trace(hill.monodromy(family(beta1), n_steps))))
     k = min(max(round(angle * n_periods / TWO_PI), 1), (n_periods - 1) // 2)
     target = k * TWO_PI / n_periods
     bracket = (finite_product(beta1, 1.0 - rel_bracket), finite_product(beta1, 1.0 + rel_bracket))

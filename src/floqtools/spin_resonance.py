@@ -24,8 +24,9 @@ from .propagator import (
 )
 
 # Most steps per period the automatic rule of spin_spacing_from_propagator
-# and verify_factorization may choose: about 0.46 GB at the ~440 bytes a CF4
-# step holds at its peak. The rule reaches it near mu B / omega = 6.6e4.
+# and verify_factorization may choose. It bounds run time, about 1 s per
+# period on a 2-core Xeon; evolve's memory does not grow with the step count.
+# The rule reaches it near mu B / omega = 6.6e4.
 _MAX_AUTO_STEPS = 2 ** 20
 
 
@@ -120,7 +121,7 @@ def _auto_steps(params):
     # Fourth-order stepping: the per-period step count grows like
     # (coupling * period)^(3/4) to hold the quasienergy gap error near 1e-9
     # of omega across mu B / omega up to 1e3. Above _MAX_AUTO_STEPS the run
-    # cannot be afforded, so it fails before anything is allocated.
+    # takes too long, so it fails before any step is taken.
     phase = finite_product(abs(params.coupling), params.period)
     n_steps = max(4096, int(math.ceil(64.0 * phase ** 0.75)))
     if n_steps > _MAX_AUTO_STEPS:

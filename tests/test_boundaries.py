@@ -10,6 +10,7 @@ import floqtools
 from floqtools import (
     SIGMA_Z,
     DriveProfile,
+    SpinParams,
     TrapField,
     classical_trajectory,
     evolve,
@@ -22,6 +23,7 @@ from floqtools import (
     polish_loop_beta1,
     rotating_frame_reduction,
 )
+from floqtools._linops import resolve_steps
 from floqtools.hill import loop_order_for_angle
 from floqtools.profiles import integration_segments, sample_segments
 
@@ -86,6 +88,15 @@ def test_hill_routine_rejects_a_non_finite_input_naming_it(name, call, recwarn):
     with pytest.raises(ValueError, match=name):
         call()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("name, call", [
+    ("mu", lambda: SpinParams(10 ** 5000, 1, 1)),
+    ("n_steps", lambda: resolve_steps(-10 ** 5000)),
+], ids=["require_finite", "count"])
+def test_an_integer_too_long_for_decimal_text_is_named_by_its_bit_length(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must .*, got an integer of 16610 bits$"):
+        call()
 
 
 def test_count_accepts_numpy_integers():

@@ -123,6 +123,8 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
      "--beta0-min", "0", "--beta0-max", "1e300", "--points", "2"),
     ("planar-loop", "--beta0", "0.785", "--beta1", "1.75e308", "--omega", str(TWO_PI),
      "--periods", "24", "--polish", "--steps", "64"),
+    ("osc-loop-find", "--profile", '{"kind":"steps","steps":[[1e300,1],[1e-300,1],[1e300,1]]}',
+     "--angle", "1.0", "--bracket", "0.5", "1"),
 ])
 def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys, recwarn):
     assert run_cli(*argv) == 3

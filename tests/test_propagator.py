@@ -26,7 +26,7 @@ from floqtools import (
     unitarity_defect,
 )
 from floqtools import propagator
-from floqtools._linops import _matmul2, chain_matmul
+from floqtools._linops import _matmul2, _streamed_chain_matmul, chain_matmul
 
 TWO_PI = 2.0 * math.pi
 
@@ -437,3 +437,59 @@ def test_fourth_order_step_above_dimension_two_is_unchanged():
     second = propagator._expm_batch(a2 * hs1 + a1 * hs2, dt)
     expected = chain_matmul(np.matmul(second, first))
     assert np.array_equal(evolve(h, 1.0, n).matrix, expected)
+
+
+# ---------- streamed reduction ----------
+
+
+def _spin_drive(t):
+    t = np.asarray(t)
+    return -1.3 * (np.multiply.outer(np.cos(1.1 * t), SIGMA_X)
+                   - np.multiply.outer(np.sin(1.1 * t), SIGMA_Y))
+
+
+def _three_level_drive():
+    rng = np.random.default_rng(8)
+    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    return lambda t: h0 + np.multiply.outer(np.cos(TWO_PI * np.asarray(t)), h1)
+
+
+@pytest.mark.parametrize("h, t_end, t_start", [
+    (_spin_drive, 5.7, 0.0),
+    (_three_level_drive(), 1.0, 0.0),
+    (_spin_drive, 2.1, -0.4),
+], ids=["spin", "three-level", "t_start"])
+def test_evolve_in_chunks_is_bit_identical_to_one_chunk(monkeypatch, h, t_end, t_start):
+    for n in range(1, 41):
+        monkeypatch.setattr(propagator, "_CHUNK", 64)
+        whole = evolve(h, t_end, n, t_start).matrix
+        for chunk in (2, 4, 8):
+            monkeypatch.setattr(propagator, "_CHUNK", chunk)
+            assert np.array_equal(evolve(h, t_end, n, t_start).matrix, whole), (n, chunk)
+
+
+@pytest.mark.parametrize("size", [1, 4, 16])
+def test_streamed_product_builds_aligned_chunks_and_matches_the_whole_chain(size):
+    rng = np.random.default_rng(9)
+    mats = rng.normal(size=(70, 2, 2)) + 1j * rng.normal(size=(70, 2, 2))
+    for n in range(1, 71):
+        spans = []
+        product = _streamed_chain_matmul(
+            lambda lo, hi: spans.append((lo, hi)) or mats[lo:hi], n, size)
+        assert np.array_equal(product, chain_matmul(mats[:n]))
+        assert [lo for lo, _ in spans] == [size * j for j in range(len(spans))]
+        assert spans[-1][1] == n
+        assert all(hi - lo == size for lo, hi in spans[:-1])
+        assert min(n, size) <= n - spans[-1][0] < 2 * size
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        evolve(_spin_drive, 5.7, 2 ** 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -32,11 +32,13 @@ ONE_STEP = ('{"steps": [{"hamiltonian": [[0.5, [0.3, -0.2]], [[0.3, 0.2], -0.25]
 FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179586",
                 "--x", "0.01", "-0.02", "0.03", "--t", "0.1"]
 
-# (operation name, argv) of the runs no workload makes.
+SPIN_POINT = ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]
+
+# (operation name, argv) of the runs no workload makes. The spin step counts
+# at the end straddle the 4096-step chunk edges of propagator.evolve.
 EXTRA = [
-    ("spin-spectrum/point", ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]),
-    ("spin-spectrum/point-steps", ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1",
-                                   "--steps", "512"]),
+    ("spin-spectrum/point", SPIN_POINT),
+    ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
     ("fields-probe/rotating", FIELDS_PROBE + ["--mode", "rotating"]),
     ("fields-probe/standing", FIELDS_PROBE + ["--mode", "standing"]),
     ("planar-loop/check", ["planar-loop", "--beta0", "0.785", "--beta1", "0.946",
@@ -49,7 +51,8 @@ EXTRA = [
     ("osc-trajectory/exit-3", ["osc-trajectory", "--profile",
                                '{"kind": "constant", "beta0": 1e300}', "--t-end", "1e10",
                                "--samples", "2"]),
-]
+] + [(f"spin-spectrum/point-steps-{n}", SPIN_POINT + ["--steps", str(n)])
+     for n in (4095, 4096, 4097, 8192, 8193, 12289)]
 
 
 def sha(text):
