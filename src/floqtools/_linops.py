@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 
 import numpy as np
 
@@ -11,17 +10,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def default_steps():
-    """Integrator steps per period; env var FLOQUET_STEPS overrides 4096."""
-    raw = os.environ.get("FLOQUET_STEPS")
-    if raw is None:
-        return 4096
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"FLOQUET_STEPS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("FLOQUET_STEPS must be >= 1")
-    return value
+    """Integrator steps per period when n_steps is None."""
+    return 4096
 
 
 def _shown(value):

@@ -108,7 +108,8 @@ def floquet_result(m, t_period, n_max=64):
 
 def loop_deviation(m, n_periods):
     """||M^n - 1||_max, the closure defect after n periods."""
-    power = np.linalg.matrix_power(np.asarray(m, dtype=float), count(n_periods, "n_periods", 1))
+    m = np.asarray(m, dtype=float)
+    power = np.linalg.matrix_power(m, count(n_periods, "n_periods", 1))
     return float(np.abs(power - np.eye(m.shape[0])).max())
 
 

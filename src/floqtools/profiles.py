@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._linops import TWO_PI, count, finite_product, is_finite_number, resolve_steps
+from ._linops import TWO_PI, _shown, count, finite_product, is_finite_number, resolve_steps
 
 PROFILE_KINDS = ("constant", "steps", "sin", "offset_sin")
 
@@ -25,7 +25,7 @@ class DriveProfile:
     beta0   constant value, sine amplitude, or sine offset
     beta1   sine amplitude of the offset_sin kind
     omega   angular frequency of the sinusoidal kinds
-    steps   ((beta, tau), ...) for the steps kind
+    steps   ((beta, tau), ...) for the steps kind, given as a list or tuple
     period  drive period T; derived, also by dataclasses.replace, as
             2 pi / omega for the sinusoidal kinds and the sum of tau for steps
 
@@ -41,8 +41,7 @@ class DriveProfile:
     period: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ProfileError(f"field 'kind' must be one of {PROFILE_KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         for name, default in _UNUSED_FIELDS[self.kind]:
             if getattr(self, name) != default:
                 raise ProfileError(f"field {name!r} is not used by kind {self.kind!r}")
@@ -55,9 +54,11 @@ class DriveProfile:
                 raise ProfileError(f"field 'omega' must be positive for kind {self.kind!r}")
             object.__setattr__(self, "period", TWO_PI / self.omega)
         if self.kind == "steps":
-            if not self.steps:
-                raise ProfileError("field 'steps' needs at least one (beta, tau) pair")
+            if not isinstance(self.steps, (list, tuple)) or not self.steps:
+                raise ProfileError("field 'steps' must be a non-empty list of [beta, tau] pairs")
             for i, pair in enumerate(self.steps):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ProfileError(f"field 'steps'[{i}] must be a [beta, tau] pair")
                 if not all(map(is_finite_number, pair)):
                     raise ProfileError(f"field 'steps'[{i}] must contain finite numbers")
                 if not pair[1] > 0:
@@ -75,7 +76,7 @@ class DriveProfile:
 
     @staticmethod
     def from_steps(steps):
-        return DriveProfile("steps", steps=tuple(steps))
+        return DriveProfile("steps", steps=steps)
 
     @staticmethod
     def sinusoid(beta0, omega):
@@ -198,6 +199,16 @@ _UNUSED_FIELDS = {
 }
 
 
+def _check_kind(kind):
+    """ProfileError naming field 'kind' unless kind is one of PROFILE_KINDS.
+
+    An integer is shown through _shown: repr fails past 4300 digits.
+    """
+    if kind not in PROFILE_KINDS:
+        shown = _shown(kind) if isinstance(kind, int) else repr(kind)
+        raise ProfileError(f"field 'kind' must be one of {PROFILE_KINDS}, got {shown}")
+
+
 def _finite(value, field):
     """value as a float, or ProfileError naming field unless it is a finite number."""
     if not is_finite_number(value):
@@ -217,15 +228,14 @@ def profile_from_json(source):
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number of over 4300 digits
             raise ProfileError(f"invalid profile JSON: {exc}") from None
     else:
         obj = source
     if not isinstance(obj, dict):
         raise ProfileError("profile must be a JSON object")
     kind = obj.get("kind")
-    if kind not in PROFILE_KINDS:
-        raise ProfileError(f"field 'kind' must be one of {PROFILE_KINDS}, got {kind!r}")
+    _check_kind(kind)
     required, optional = _JSON_FIELDS[kind]
     for key in obj:
         if key != "kind" and key not in required and key not in optional:
@@ -233,16 +243,6 @@ def profile_from_json(source):
     for key in required:
         if key not in obj:
             raise ProfileError(f"missing field {key!r} for kind {kind!r}")
-
-    if kind == "steps":
-        raw = obj["steps"]
-        if not isinstance(raw, list) or not raw:
-            raise ProfileError("field 'steps' must be a non-empty list of [beta, tau] pairs")
-        for i, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ProfileError(f"field 'steps'[{i}] must be a [beta, tau] pair")
-        return DriveProfile.from_steps(raw)
-
     values = {key: value for key, value in obj.items() if key != "kind"}
     if "omega" in values and kind == "constant":
         if "period" in values:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import (TWO_PI, _matmul2, _streamed_chain_matmul, chain_matmul,
+from ._linops import (TWO_PI, _matmul2, _streamed_chain_matmul, chain_matmul, is_finite_number,
                       raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
@@ -40,7 +40,7 @@ def _hermitian(m):
 
     Each matrix may deviate from Hermiticity by 1e-12 times the larger of 1
     and its own largest entry. The comparisons are written so that a NaN
-    fails them.
+    fails them. The halves are summed, which is exact and cannot overflow.
     """
     dag = np.conj(np.swapaxes(m, -1, -2))
     defect = np.abs(m - dag)
@@ -50,7 +50,7 @@ def _hermitian(m):
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         if not (defect.max(axis=(-2, -1)) <= _HERMITIAN_TOL * scale).all():
             raise ValueError(f"matrix is not Hermitian (defect {defect.max():.3e})")
-    return 0.5 * (m + dag)
+    return 0.5 * m + 0.5 * dag
 
 
 def as_hermitian(h):
@@ -97,16 +97,18 @@ class StepPattern:
             raise ValueError("a step pattern needs at least one (H, tau) step")
         norm = []
         dim = None
-        for i, (h, tau) in enumerate(self.steps):
-            tau = float(tau)
-            if not 0 < tau < math.inf:
+        for i, step in enumerate(self.steps):
+            if not isinstance(step, (list, tuple)) or len(step) != 2:
+                raise ValueError(f"step {i} must be an (H, tau) pair")
+            h, tau = step
+            if not is_finite_number(tau) or not tau > 0:
                 raise ValueError(f"step {i}: duration must be positive and finite")
             hm = as_hermitian(h)
             if dim is None:
                 dim = hm.shape[0]
             elif hm.shape[0] != dim:
                 raise ValueError(f"step {i}: dimension {hm.shape[0]} does not match {dim}")
-            norm.append((hm, tau))
+            norm.append((hm, float(tau)))
         object.__setattr__(self, "steps", tuple(norm))
 
     @property
@@ -168,11 +170,15 @@ def _expm_batch(hs, dt):
 
 
 def expm_hermitian(h, t):
-    """exp(-i t H) through eigendecomposition; unitary up to roundoff."""
+    """exp(-i t H) through eigendecomposition; unitary up to roundoff.
+
+    FloatingPointError when the exponent H t overflows from finite inputs.
+    """
     hm = as_hermitian(h)
     require_finite(t=t)
-    t = float(t)
-    return Unitary(_expm_batch(hm[None], t)[0])
+    with raise_on_overflow("a step exponent H t overflows"):
+        u = _expm_batch(hm[None], float(t))[0]
+    return Unitary(u)
 
 
 def step_propagator(pattern):

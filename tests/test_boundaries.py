@@ -93,7 +93,8 @@ def test_hill_routine_rejects_a_non_finite_input_naming_it(name, call, recwarn):
 @pytest.mark.parametrize("name, call", [
     ("mu", lambda: SpinParams(10 ** 5000, 1, 1)),
     ("n_steps", lambda: resolve_steps(-10 ** 5000)),
-], ids=["require_finite", "count"])
+    ("field 'kind'", lambda: DriveProfile(kind=10 ** 5000, beta0=1.0)),
+], ids=["require_finite", "count", "DriveProfile-kind"])
 def test_an_integer_too_long_for_decimal_text_is_named_by_its_bit_length(name, call):
     with pytest.raises(ValueError, match=f"^{name} must .*, got an integer of 16610 bits$"):
         call()

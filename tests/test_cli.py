@@ -125,6 +125,8 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
      "--periods", "24", "--polish", "--steps", "64"),
     ("osc-loop-find", "--profile", '{"kind":"steps","steps":[[1e300,1],[1e-300,1],[1e300,1]]}',
      "--angle", "1.0", "--bracket", "0.5", "1"),
+    ("step-floquet", "--pattern",
+     '{"steps":[{"hamiltonian":[[1e300,0],[0,-1e300]],"duration":1e10}]}'),
 ])
 def test_non_finite_result_exits_3_without_output(argv, tmp_path, capsys, recwarn):
     assert run_cli(*argv) == 3
@@ -441,6 +443,30 @@ def test_step_floquet_rejects_bad_pattern(capsys):
     code = run_cli("step-floquet", "--pattern", '{"steps": []}')
     assert code == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration, message", [
+    ("true", "invalid step pattern: step 0: duration must be positive and finite"),
+    ('"2"', "invalid step pattern: step 0: duration must be positive and finite"),
+    ("-1", "invalid step pattern: step 0: duration must be positive and finite"),
+    ("1" + "0" * 5000, "invalid pattern JSON: Exceeds the limit"),
+], ids=["bool", "string", "negative", "5001-digits"])
+def test_step_floquet_bad_duration_exits_2_naming_it(duration, message, capsys):
+    pattern = '{"steps": [{"hamiltonian": [[1, 0], [0, -1]], "duration": %s}]}' % duration
+    assert run_cli("step-floquet", "--pattern", pattern) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_step_floquet_of_a_near_overflow_hamiltonian_succeeds(capsys, recwarn):
+    # H + H^dag would overflow; the symmetrized H is formed from the halves.
+    pattern = '{"steps":[{"hamiltonian":[[1e308,1e308],[1e308,-1e308]],"duration":1}]}'
+    assert run_cli("step-floquet", "--pattern", pattern) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["instantaneous_1,-1.41421356237e+308",
+                          "instantaneous_1,1.41421356237e+308"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_fields_probe_rotating(tmp_path):

@@ -112,6 +112,10 @@ def test_hyperbolic_matrix_has_no_frequency_or_loop():
     assert res.loop_order is None
 
 
+def test_loop_deviation_accepts_a_nested_list():
+    assert loop_deviation([[0, 1], [-1, 0]], 4) == 0.0
+
+
 def test_reported_loops_are_sound():
     rng = np.random.default_rng(5)
     for angle_num in (1, 2, 3, 5):

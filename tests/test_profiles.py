@@ -82,6 +82,23 @@ def test_invalid_profiles_rejected():
         DriveProfile.from_steps(())
 
 
+@pytest.mark.parametrize("steps, message", [
+    (5, "field 'steps' must be a non-empty list of [beta, tau] pairs"),
+    ([], "field 'steps' must be a non-empty list of [beta, tau] pairs"),
+    ([[1, 2, 3]], "field 'steps'[0] must be a [beta, tau] pair"),
+    ([[1.0, 0.5], 5], "field 'steps'[1] must be a [beta, tau] pair"),
+    ([[True, 1]], "field 'steps'[0] must contain finite numbers"),
+    ([[1.0, "2"]], "field 'steps'[0] must contain finite numbers"),
+    ([[1, -1]], "field 'steps'[0]: duration must be positive"),
+])
+def test_steps_constructor_and_json_give_one_message(steps, message):
+    with pytest.raises(ProfileError) as direct:
+        DriveProfile.from_steps(steps)
+    with pytest.raises(ProfileError) as loaded:
+        profile_from_json(json.dumps({"kind": "steps", "steps": steps}))
+    assert str(direct.value) == str(loaded.value) == message
+
+
 def test_json_round_trip():
     profiles = [
         DriveProfile.constant(1.3, 0.7),
@@ -184,6 +201,8 @@ def test_integration_segments_rejects_zero_steps():
     ('{"kind": "offset_sin", "beta0": 1.0, "beta1": -Infinity, "omega": 1.0}', "'beta1'"),
     ('{"kind": "constant", "beta0": 1.0, "period": Infinity}', "'period'"),
     ('{"kind": "constant", "beta0": 1%s}' % ("0" * 400), "'beta0'"),
+    pytest.param('{"kind": "constant", "beta0": 1%s}' % ("0" * 5000), "invalid profile JSON",
+                 id="beta0-of-5001-digits"),
     ('{"kind": "steps", "steps": [[1.0, 0.5], [NaN, 0.5]]}', r"'steps'\[1\]"),
 ])
 def test_json_rejects_non_finite_numbers(text, field):

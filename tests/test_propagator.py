@@ -78,6 +78,16 @@ NAN_MATRIX = np.array([[math.nan, 0.0], [0.0, 1.0]])
     pytest.param(lambda: evolve(lambda t: NAN_MATRIX, 1.0, 4), "Hermitian", id="evolve-H"),
     pytest.param(lambda: StepPattern(((SIGMA_Z, math.inf),)), "duration",
                  id="StepPattern-duration"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z, 1.0), (SIGMA_Z, True))),
+                 "step 1: duration must be positive and finite", id="StepPattern-bool"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z, "2"),)),
+                 "step 0: duration must be positive and finite", id="StepPattern-string"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z, 10 ** 5000),)),
+                 "step 0: duration must be positive and finite", id="StepPattern-huge"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z,),)), r"step 0 must be an \(H, tau\) pair",
+                 id="StepPattern-single"),
+    pytest.param(lambda: StepPattern(((SIGMA_Z, 1.0), SIGMA_Z)),
+                 r"step 1 must be an \(H, tau\) pair", id="StepPattern-matrix"),
     pytest.param(lambda: QuasiSpectrum([math.nan, 0.1], 1.0), "zone", id="QuasiSpectrum"),
     pytest.param(lambda: QuasiSpectrum([0.1], math.inf), "omega", id="QuasiSpectrum-omega"),
     pytest.param(lambda: floquet_hamiltonian(np.eye(2), math.inf), "period",
@@ -356,13 +366,13 @@ def test_as_hermitian_symmetrizes_within_tolerance():
 
 
 def test_default_steps_env_override(monkeypatch):
+    # No environment variable changes the default step count.
     monkeypatch.delenv("FLOQUET_STEPS", raising=False)
     assert default_steps() == 4096
     monkeypatch.setenv("FLOQUET_STEPS", "512")
-    assert default_steps() == 512
+    assert default_steps() == 4096
     monkeypatch.setenv("FLOQUET_STEPS", "zero")
-    with pytest.raises(ValueError):
-        default_steps()
+    assert default_steps() == 4096
 
 
 # ---------- closed-form 2x2 steps ----------

@@ -3,25 +3,23 @@
     python3 tools/cli_digest.py [--seeds 1 2] > digest.txt
 
 Runs each operation of bench/workloads.build(name, seed) in process through
-floqtools.cli.main, from the src/ tree next to this script, with
-FLOQUET_STEPS unset, and then the fixed EXTRA argvs under the workload name
-`extra` (seed 0): the subcommands and options no workload runs, and runs
-that exit 2 or 3. Prints one line per operation: workload, seed, operation
-name, exit code, and the sha256 of stdout and of stderr. A refactor that
-keeps the output byte-identical gives the same lines at the parent commit
-and at the change, so `diff` of the two runs is empty.
+floqtools.cli.main, from the src/ tree next to this script, and then the
+fixed EXTRA argvs under the workload name `extra` (seed 0): the subcommands
+and options no workload runs, and runs that exit 2 or 3. Prints one line
+per operation: workload, seed, operation name, exit code, and the sha256 of
+stdout and of stderr. A refactor that keeps the output byte-identical gives
+the same lines at the parent commit and at the change, so `diff` of the two
+runs is empty.
 """
 import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-os.environ.pop("FLOQUET_STEPS", None)
 
 import workloads  # noqa: E402
 from floqtools import cli  # noqa: E402
@@ -33,9 +31,23 @@ FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179
                 "--x", "0.01", "-0.02", "0.03", "--t", "0.1"]
 
 SPIN_POINT = ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]
+HUGE = "1" + "0" * 5000  # a number of more digits than int() converts from text
+
+
+def osc_spectrum(profile):
+    return ["osc-spectrum", "--profile", profile, "--beta0-min", "0", "--beta0-max", "1",
+            "--points", "2"]
+
+
+def step_floquet(hamiltonian, duration):
+    return ["step-floquet", "--pattern",
+            f'{{"steps": [{{"hamiltonian": {hamiltonian}, "duration": {duration}}}]}}']
+
 
 # (operation name, argv) of the runs no workload makes. The spin step counts
-# at the end straddle the 4096-step chunk edges of propagator.evolve.
+# straddle the 4096-step chunk edges of propagator.evolve; the runs after them
+# reach the input checks of the profile and pattern loaders and the overflow
+# guards of step-floquet.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -44,15 +56,25 @@ EXTRA = [
     ("planar-loop/check", ["planar-loop", "--beta0", "0.785", "--beta1", "0.946",
                            "--omega", "6.283185307179586", "--periods", "24"]),
     ("step-floquet/one-step", ["step-floquet", "--pattern", ONE_STEP]),
-    ("osc-spectrum/exit-2", ["osc-spectrum", "--profile", SIN_NO_OMEGA, "--beta0-min", "0",
-                             "--beta0-max", "1", "--points", "2"]),
+    ("osc-spectrum/exit-2", osc_spectrum(SIN_NO_OMEGA)),
     ("osc-loop-find/exit-3", ["osc-loop-find", "--profile", '{"kind": "constant", "beta0": 1.0}',
                               "--bracket", "0.1", "0.2"]),
     ("osc-trajectory/exit-3", ["osc-trajectory", "--profile",
                                '{"kind": "constant", "beta0": 1e300}', "--t-end", "1e10",
                                "--samples", "2"]),
 ] + [(f"spin-spectrum/point-steps-{n}", SPIN_POINT + ["--steps", str(n)])
-     for n in (4095, 4096, 4097, 8192, 8193, 12289)]
+     for n in (4095, 4096, 4097, 8192, 8193, 12289)] + [
+    (f"osc-spectrum/steps-{name}", osc_spectrum(f'{{"kind": "steps", "steps": {steps}}}'))
+    for name, steps in [("scalar", "5"), ("empty", "[]"), ("triple", "[[1, 2, 3]]"),
+                        ("bool", "[[true, 1]]"), ("negative", "[[1, -1]]")]
+] + [
+    ("osc-spectrum/huge-number", osc_spectrum(f'{{"kind": "constant", "beta0": {HUGE}}}')),
+    ("step-floquet/duration-bool", step_floquet("[[1, 0], [0, -1]]", "true")),
+    ("step-floquet/duration-string", step_floquet("[[1, 0], [0, -1]]", '"2"')),
+    ("step-floquet/duration-huge", step_floquet("[[1, 0], [0, -1]]", HUGE)),
+    ("step-floquet/exponent-overflow", step_floquet("[[1e300, 0], [0, -1e300]]", "1e10")),
+    ("step-floquet/large-hermitian", step_floquet("[[1e308, 1e308], [1e308, -1e308]]", "1")),
+]
 
 
 def sha(text):
