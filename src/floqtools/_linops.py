@@ -91,19 +91,24 @@ def raise_on_overflow(what):
 
 
 def _matmul2(a, b):
-    """a @ b for two (n, d, d) stacks; complex 2x2 ones entry by entry (a e + b g, ...).
+    """a @ b for two (n, d, d) stacks; 2x2 ones entry by entry, entry-major.
 
-    That is several times faster than np.matmul, whose per-matrix calls
-    dominate at 2x2; on real stacks (every Hill monodromy) and larger ones
-    np.matmul is the faster one.
+    A 2x2 product is written into a new contiguous (2, 2, n) array, one
+    entry row a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j] at a time, read
+    from a and b where they lie, and returned as its (n, 2, 2) view, whose
+    transpose(1, 2, 0) is that array again. At 2x2 this is several times
+    faster than np.matmul, whose per-matrix calls dominate; larger stacks
+    go through np.matmul.
     """
-    if a.shape[1:] != (2, 2) or a.dtype.kind != "c":
+    if a.shape[1:] != (2, 2):
         return np.matmul(a, b)
-    out = np.empty(a.shape, np.result_type(a, b))
+    out = np.empty((2, 2, a.shape[0]), np.result_type(a, b))
     for i in range(2):
         for j in range(2):
-            out[:, i, j] = a[:, i, 0] * b[:, 0, j] + a[:, i, 1] * b[:, 1, j]
-    return out
+            row = out[i, j]
+            np.multiply(a[:, i, 0], b[:, 0, j], out=row)
+            row += a[:, i, 1] * b[:, 1, j]
+    return out.transpose(2, 0, 1)
 
 
 def chain_matmul(mats):
@@ -111,19 +116,36 @@ def chain_matmul(mats):
 
     Pairwise reduction keeps the number of sequential matmuls logarithmic,
     which matters for the 10^4..10^5 step chains the integrators produce.
-    Each round multiplies through _matmul2.
+    Each round multiplies neighbours, later by earlier, and carries an odd
+    last element. A stack of d > 2 multiplies through np.matmul. A 2x2
+    stack, real or complex, is reduced in the entry-major (2, 2, n) layout
+    with one rule, x[i, 0] y[0, j] + x[i, 1] y[1, j] per entry: the first
+    round reads the stack where it lies (_matmul2) and every later one is a
+    broadcast multiply-add on the layout.
     """
     m = np.asarray(mats)
     if m.ndim != 3 or m.shape[0] == 0:
         raise ValueError("expected a non-empty stack of matrices")
-    while m.shape[0] > 1:
-        even = m.shape[0] - (m.shape[0] % 2)
-        head = _matmul2(m[1:even:2], m[0:even:2])
-        if even == m.shape[0]:
-            m = head
-        else:
-            m = np.concatenate([head, m[-1:]], axis=0)
-    return m[0]
+    if m.shape[0] == 1:
+        return m[0]
+    if m.shape[1:] != (2, 2):
+        while m.shape[0] > 1:
+            even = m.shape[0] - (m.shape[0] % 2)
+            head = np.matmul(m[1:even:2], m[0:even:2])
+            m = head if even == m.shape[0] else np.concatenate([head, m[-1:]])
+        return m[0]
+    n = m.shape[0]
+    even = n - n % 2
+    e = _matmul2(m[1:even:2], m[0:even:2]).transpose(1, 2, 0)
+    if even != n:
+        e = np.concatenate([e, m[-1][:, :, None]], axis=2)
+    while e.shape[2] > 1:
+        even = e.shape[2] - (e.shape[2] % 2)
+        x, y = e[:, :, 1:even:2], e[:, :, 0:even:2]
+        head = x[:, 0, None] * y[None, 0]
+        head += x[:, 1, None] * y[None, 1]
+        e = head if even == e.shape[2] else np.concatenate([head, e[:, :, -1:]], axis=2)
+    return e[:, :, 0]
 
 
 def _streamed_chain_matmul(stack, n, size):

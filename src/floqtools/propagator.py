@@ -40,17 +40,20 @@ def _hermitian(m):
 
     Each matrix may deviate from Hermiticity by 1e-12 times the larger of 1
     and its own largest entry. The comparisons are written so that a NaN
-    fails them. The halves are summed, which is exact and cannot overflow.
+    fails them. The halves are formed first, so neither their difference
+    nor their sum can overflow, and the sum is exact.
     """
-    dag = np.conj(np.swapaxes(m, -1, -2))
-    defect = np.abs(m - dag)
+    half = 0.5 * m
+    # C order, so the difference and sum below run on matching strides.
+    half_dag = np.conj(np.swapaxes(half, -1, -2), order="C")
+    defect = np.abs(half - half_dag)
     # Every scale is at least 1, so a defect within the bare tolerance passes
     # without the per-matrix maxima.
-    if not defect.max() <= _HERMITIAN_TOL:
+    if not defect.max() <= 0.5 * _HERMITIAN_TOL:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        if not (defect.max(axis=(-2, -1)) <= _HERMITIAN_TOL * scale).all():
-            raise ValueError(f"matrix is not Hermitian (defect {defect.max():.3e})")
-    return 0.5 * m + 0.5 * dag
+        if not (defect.max(axis=(-2, -1)) <= 0.5 * _HERMITIAN_TOL * scale).all():
+            raise ValueError(f"matrix is not Hermitian (defect {2 * float(defect.max()):.3e})")
+    return half + half_dag
 
 
 def as_hermitian(h):
@@ -235,7 +238,8 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     Fehske, J. Comput. Phys. 230 (2011) 5930):
     exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). For d = 2 the
     exponentials are taken in closed form (see _expm_batch) and the products
-    entry by entry (see _matmul2); larger d uses eigh and np.matmul.
+    entry by entry, by the same 2x2 rule as chain_matmul (see _matmul2);
+    larger d uses eigh and np.matmul.
     The steps are formed and reduced in chunks of _CHUNK, so memory is
     bounded by about 2 _CHUNK steps whatever n_steps is, and the product is
     bit for bit the one of all steps at once (see _streamed_chain_matmul).

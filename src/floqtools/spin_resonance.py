@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linops import TWO_PI, finite_product, require_finite, resolve_steps
-from .propagator import (
-    SIGMA_X,
-    SIGMA_Y,
-    evolve,
-    expm_hermitian,
-    quasienergies,
-    reduce_to_zone,
-)
+from .propagator import evolve, expm_hermitian, quasienergies, reduce_to_zone
 
 # Most steps per period the automatic rule of spin_spacing_from_propagator
 # and verify_factorization may choose. It bounds run time, about 1 s per
@@ -65,8 +58,10 @@ def spin_instantaneous(params, t):
     Broadcasts over an array of times, returning the (n, 2, 2) stack.
     """
     angle = params.omega * np.asarray(t)
-    return -params.coupling * (np.multiply.outer(np.cos(angle), SIGMA_X)
-                               - np.multiply.outer(np.sin(angle), SIGMA_Y))
+    h = np.zeros(angle.shape + (2, 2), dtype=complex)
+    h[..., 0, 1] = -params.coupling * (np.cos(angle) + 1j * np.sin(angle))
+    h[..., 1, 0] = np.conj(h[..., 0, 1])
+    return h
 
 
 def spin_floquet_generator(params):

@@ -439,10 +439,15 @@ def test_step_floquet_lines(tmp_path):
     assert table["floquet"] == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
-def test_step_floquet_rejects_bad_pattern(capsys):
+def test_step_floquet_rejects_bad_pattern(capsys, recwarn):
     code = run_cli("step-floquet", "--pattern", '{"steps": []}')
     assert code == 2
     assert "steps" in capsys.readouterr().err
+    # H - H^dag would overflow; the defect is measured on the halves.
+    pattern = '{"steps":[{"hamiltonian":[[0,1e308],[-1e308,0]],"duration":1}]}'
+    assert run_cli("step-floquet", "--pattern", pattern) == 2
+    assert "matrix is not Hermitian (defect inf)" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("duration, message", [

@@ -422,13 +422,37 @@ def test_entry_wise_2x2_product_matches_matmul():
     assert np.abs(_matmul2(a, b) - np.matmul(a, b)).max() <= 1e-14
 
 
-def test_real_2x2_chain_is_the_plain_matmul_reduction():
-    m = np.random.default_rng(6).normal(size=(1001, 2, 2))
-    ref = m
-    while len(ref) > 1:
-        even = len(ref) - len(ref) % 2
-        ref = np.concatenate([np.matmul(ref[1:even:2], ref[0:even:2]), ref[even:]])
-    assert np.array_equal(chain_matmul(m), ref[0])
+def _pairwise(m, product):
+    """Pairwise chain reduction: neighbours multiplied, an odd last element carried."""
+    while len(m) > 1:
+        even = len(m) - len(m) % 2
+        m = np.concatenate([product(m[1:even:2], m[0:even:2]), m[even:]])
+    return m[0]
+
+
+def _entry_formula(x, y):
+    out = np.empty(x.shape, np.result_type(x, y))
+    for i in range(2):
+        for j in range(2):
+            out[:, i, j] = x[:, i, 0] * y[:, 0, j] + x[:, i, 1] * y[:, 1, j]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_2x2_chain_is_the_entry_formula_reduction(dtype):
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(70, 2, 2)).astype(dtype)
+    if dtype is complex:
+        m += 1j * rng.normal(size=m.shape)
+    # The same matrices stored entry-major and with a stride of two matrices.
+    entry_major = np.ascontiguousarray(m.transpose(1, 2, 0)).transpose(2, 0, 1)
+    strided = np.repeat(m, 2, axis=0)[::2]
+    for n in range(1, 71):
+        ref = _pairwise(m[:n], _entry_formula)
+        for stack in (m[:n], entry_major[:n], strided[:n]):
+            assert np.array_equal(chain_matmul(stack), ref), n
+        by_matmul = _pairwise(m[:n], np.matmul)
+        assert np.abs(ref - by_matmul).max() <= 1e-14 * np.abs(by_matmul).max()
 
 
 def test_fourth_order_step_above_dimension_two_is_unchanged():

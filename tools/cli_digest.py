@@ -25,6 +25,8 @@ import workloads  # noqa: E402
 from floqtools import cli  # noqa: E402
 
 SIN_NO_OMEGA = '{"kind": "sin", "beta0": 1.0}'
+SIN = '{"kind": "sin", "beta0": 1.0, "omega": 6.283185307179586}'
+THREE_STEPS = '{"kind": "steps", "steps": [[1.0, 0.3], [0.0, 0.4], [0.5, 0.3]]}'
 ONE_STEP = ('{"steps": [{"hamiltonian": [[0.5, [0.3, -0.2]], [[0.3, 0.2], -0.25]], '
             '"duration": 0.7}]}')
 FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179586",
@@ -45,9 +47,10 @@ def step_floquet(hamiltonian, duration):
 
 
 # (operation name, argv) of the runs no workload makes. The spin step counts
-# straddle the 4096-step chunk edges of propagator.evolve; the runs after them
-# reach the input checks of the profile and pattern loaders and the overflow
-# guards of step-floquet.
+# straddle the 4096-step chunk edges of propagator.evolve; the odd Hill chains
+# (4097 and 3 sin steps, three drive steps) carry an odd last block through
+# chain_matmul; the runs after them reach the input checks of the profile and
+# pattern loaders and the overflow guards of step-floquet.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -64,6 +67,11 @@ EXTRA = [
                                "--samples", "2"]),
 ] + [(f"spin-spectrum/point-steps-{n}", SPIN_POINT + ["--steps", str(n)])
      for n in (4095, 4096, 4097, 8192, 8193, 12289)] + [
+    ("osc-spectrum/sin-steps-4097", osc_spectrum(SIN) + ["--steps", "4097"]),
+    ("osc-spectrum/sin-steps-3", osc_spectrum(SIN) + ["--steps", "3"]),
+    ("osc-loop-find/three-steps", ["osc-loop-find", "--profile", THREE_STEPS,
+                                   "--bracket", "0.5", "3"]),
+] + [
     (f"osc-spectrum/steps-{name}", osc_spectrum(f'{{"kind": "steps", "steps": {steps}}}'))
     for name, steps in [("scalar", "5"), ("empty", "[]"), ("triple", "[[1, 2, 3]]"),
                         ("bool", "[[true, 1]]"), ("negative", "[[1, -1]]")]
