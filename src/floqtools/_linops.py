@@ -122,6 +122,14 @@ def chain_matmul(mats):
     with one rule, x[i, 0] y[0, j] + x[i, 1] y[1, j] per entry: the first
     round reads the stack where it lies (_matmul2) and every later one is a
     broadcast multiply-add on the layout.
+
+    So a chain may be reduced in aligned blocks: for a power of two
+    size = 2^k, chain_matmul of the block products chain_matmul(mats[i:i +
+    size]), i = 0, size, 2 size, ..., is bit for bit chain_matmul(mats).
+    After k rounds the whole reduction holds exactly these block products,
+    in this order, each formed by the same products: every block starts at
+    an even index of each round, and only the last one can carry an odd
+    element.
     """
     m = np.asarray(mats)
     if m.ndim != 3 or m.shape[0] == 0:
@@ -146,29 +154,6 @@ def chain_matmul(mats):
         head += x[:, 1, None] * y[None, 1]
         e = head if even == e.shape[2] else np.concatenate([head, e[:, :, -1:]], axis=2)
     return e[:, :, 0]
-
-
-def _streamed_chain_matmul(stack, n, size):
-    """chain_matmul of n matrices built chunk by chunk; stack(lo, hi) builds lo..hi-1.
-
-    The chunks are aligned runs of size matrices, and the last one takes the
-    remainder, so it holds from size to 2 size - 1 of them (all n when
-    n < 2 size): only n == 1 gives a chunk of one matrix. Each aligned block
-    of size matrices, and the tail of the last chunk, is reduced by its own
-    chain_matmul, and the partial products by one more; a single partial is
-    returned as it is. So fewer than 2 size matrices are held at once.
-
-    For size = 2^k the result is bit for bit chain_matmul of all n at once:
-    that pairs neighbours round by round and carries an odd last element,
-    so after k rounds it holds exactly these partial products, in this
-    order, each formed by the same products.
-    """
-    bounds = [j * size for j in range(max(1, n // size))] + [n]
-    partials = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = stack(lo, hi)
-        partials += [chain_matmul(chunk[i:i + size]) for i in range(0, hi - lo, size)]
-    return partials[0] if len(partials) == 1 else chain_matmul(partials)
 
 
 def oscillator_blocks(betas, dts):

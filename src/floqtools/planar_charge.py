@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import (TWO_PI, count, finite_product, raise_on_overflow, require_finite,
-                      rotation2)
+from ._linops import (TWO_PI, count, finite_product, is_finite_number, raise_on_overflow,
+                      require_finite, rotation2)
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -87,15 +87,21 @@ def reconstruct_planar(theta, m_radial):
     with the radial map applied identically in both rotated planes.
 
     Positive theta rotates with the [[cos, sin], [-sin, cos]] convention,
-    matching the sense of the constant-drive analytic solution.
+    matching the sense of the constant-drive analytic solution. The map
+    kron(1, R) kron(M, 1) is kron(M, R) by the mixed-product rule. An
+    infinite theta makes R invalid: FloatingPointError.
     """
     with raise_on_overflow("the planar monodromy overflows"):
-        return (np.kron(np.eye(2), rotation2(theta))
-                @ np.kron(np.asarray(m_radial, float), np.eye(2)))
+        return np.kron(np.asarray(m_radial, float), rotation2(theta))
 
 
 def planar_loop_check(profile, n_periods, tol=1e-2, n_steps=None):
-    """(is_loop, deviation): deviation = ||M(nT) - 1||_max against tol."""
+    """(is_loop, deviation): deviation = ||M(nT) - 1||_max against tol.
+
+    ValueError naming tol unless it is positive and finite.
+    """
+    if not (is_finite_number(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     m = planar_monodromy(profile, n_periods, n_steps)
     deviation = float(np.abs(m - np.eye(4)).max())
     return deviation < tol, deviation

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import (TWO_PI, _matmul2, _streamed_chain_matmul, chain_matmul, is_finite_number,
-                      raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
+from ._linops import (TWO_PI, _matmul2, chain_matmul, is_finite_number, raise_on_overflow,
+                      reduce_to_zone, require_finite, resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,9 +29,9 @@ _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 
-# Steps evolve forms and reduces at once (a power of two, see
-# _linops._streamed_chain_matmul): it holds fewer than 2 _CHUNK of them, under
-# 4 MB at d = 2, whatever n_steps is. 4096 was the fastest of 2^10 .. 2^14.
+# Steps evolve forms and reduces at once, about 2 MB at d = 2. A power of
+# two, so the chunked product is the whole chain (see chain_matmul). 4096
+# was the fastest of 2^10 .. 2^14.
 _CHUNK = 4096
 
 
@@ -140,25 +140,26 @@ class QuasiSpectrum:
 def _expm_batch(hs, dt):
     """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack.
 
-    A stack of more than one 2x2 matrix is exponentiated in closed form:
-    with H = a0 + n.sigma, exp(-i dt H) = e^{-i a0 dt} [cos(|n| dt) - i S n.sigma]
-    and S = sin(|n| dt) / |n| = dt sinc(|n| dt), sinc(x) = sin(x) / x taking
-    its limit 1 at x = 0, so n = 0 needs no branch. The sine and cosine share
-    one argument, which keeps U unitary to roundoff at any |n| dt.
-    a0, n_z come from the real diagonal and n_x + i n_y from H[1, 0] alone,
-    which is exact because every caller passes an exactly symmetrized stack:
-    _hermitian makes it so, and the real combinations A1 h1 + A2 h2 of such
-    stacks in CF4 keep it so. Any other stack, and a lone matrix (one LAPACK
-    call is cheaper than the closed form's array set-up), goes through eigh.
+    Every 2x2 stack, a stack of one included, is exponentiated in closed
+    form: with H = a0 + n.sigma, exp(-i dt H) = e^{-i a0 dt} [cos(|n| dt) -
+    i S n.sigma] and S = sin(|n| dt) / |n| = dt sinc(|n| dt), sinc(x) =
+    sin(x) / x taking its limit 1 at x = 0, so n = 0 needs no branch. The
+    sine and cosine share one argument, which keeps U unitary to roundoff at
+    any |n| dt. a0, n_z come from the real diagonal and n_x + i n_y from
+    H[1, 0] alone, which is exact because every caller passes an exactly
+    symmetrized stack: _hermitian makes it so, and the real combinations
+    A1 h1 + A2 h2 of such stacks in CF4 keep it so. a0 and n_z are formed
+    from the halves of the diagonal, so an entry near the largest float
+    stays finite. A stack of d > 2 goes through eigh.
     """
-    if hs.shape[0] > 1 and hs.shape[1:] == (2, 2):
+    if hs.shape[1:] == (2, 2):
         upper, lower, off = hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0]
-        nz = 0.5 * (upper - lower)
+        nz = 0.5 * upper - 0.5 * lower
         norm = np.hypot(nz, np.abs(off))
         angle = norm * dt
         sinc = np.ones_like(angle)
         np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
-        phase = np.exp(-0.5j * dt * (upper + lower))
+        phase = np.exp(-1j * dt * (0.5 * upper + 0.5 * lower))
         cos = phase * np.cos(angle)
         sin = -1j * dt * phase * sinc
         u = np.empty(hs.shape, dtype=complex)
@@ -173,7 +174,7 @@ def _expm_batch(hs, dt):
 
 
 def expm_hermitian(h, t):
-    """exp(-i t H) through eigendecomposition; unitary up to roundoff.
+    """exp(-i t H), in closed form at d = 2 and through eigh above; unitary up to roundoff.
 
     FloatingPointError when the exponent H t overflows from finite inputs.
     """
@@ -240,9 +241,10 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     exponentials are taken in closed form (see _expm_batch) and the products
     entry by entry, by the same 2x2 rule as chain_matmul (see _matmul2);
     larger d uses eigh and np.matmul.
-    The steps are formed and reduced in chunks of _CHUNK, so memory is
-    bounded by about 2 _CHUNK steps whatever n_steps is, and the product is
-    bit for bit the one of all steps at once (see _streamed_chain_matmul).
+    Each run of _CHUNK steps is formed and reduced by chain_matmul, and the
+    run products by one more chain_matmul, so at most _CHUNK steps are held
+    whatever n_steps is; _CHUNK is a power of two, so the product is bit for
+    bit the chain of all steps at once (see chain_matmul).
 
     Parameters
     ----------
@@ -286,7 +288,8 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     # The first overflow while H(t) is sampled, combined or exponentiated
     # raises here, before a NaN reaches the unitarity check.
     with raise_on_overflow("a step of H(t) dt overflows"):
-        u = _streamed_chain_matmul(cf4_steps, n_steps, _CHUNK)
+        u = chain_matmul([chain_matmul(cf4_steps(lo, min(lo + _CHUNK, n_steps)))
+                          for lo in range(0, n_steps, _CHUNK)])
     return Unitary(u)
 
 

@@ -19,6 +19,7 @@ from floqtools import (
     monodromy,
     nodal_approx_error,
     oscillator_quasienergies,
+    planar_loop_check,
     planar_trajectory,
     polish_loop_beta1,
     rotating_frame_reduction,
@@ -80,6 +81,9 @@ HILL_SITES = [
                  id="oscillator_quasienergies-nan"),
     pytest.param("omega_F", lambda: oscillator_quasienergies(math.inf, 2.0, 3),
                  id="oscillator_quasienergies-inf"),
+    *[pytest.param("^tol must be positive and finite", lambda tol=tol: planar_loop_check(
+        SIN, 24, tol), id=f"planar_loop_check-tol-{tol}")
+      for tol in (-1.0, 0.0, math.nan, math.inf, True)],
 ]
 
 

@@ -105,6 +105,70 @@ def test_root_search_with_zero_steps_is_a_configuration_error(argv, capsys):
     assert "n_steps" in capsys.readouterr().err
 
 
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit an argparse error raises."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def step_pattern(step):
+    return json.dumps({"steps": [step]})
+
+
+SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
+
+
+# MISSING_FILE and ARRAY_FILE stand for a path that does not exist and a
+# file that holds the JSON text [1].
+@pytest.mark.parametrize("argv, message", [
+    (("osc-spectrum", "--profile", "MISSING_FILE") + SPECTRUM_GRID,
+     "error: cannot read profile file 'MISSING_FILE'"),
+    (("osc-spectrum", "--profile", SIN_PROFILE, "--beta0-min", "abc", "--beta0-max", "1",
+      "--points", "2"), "error: argument --beta0-min: expected a finite number, got 'abc'"),
+    (("step-floquet", "--pattern", '{"foo": 1}'),
+     "error: missing field 'steps' in the step pattern"),
+    (("step-floquet", "--pattern", '{"steps": [1]}'),
+     "error: field 'steps'[0] must be an object"),
+    (("step-floquet", "--pattern",
+      step_pattern({"hamiltonian": [[1.0]], "duration": 1.0, "phase": 0.0})),
+     "error: unexpected field 'phase' in 'steps'[0]"),
+    (("step-floquet", "--pattern", step_pattern({"duration": 1.0})),
+     "error: field 'steps'[0] needs 'hamiltonian' and 'duration'"),
+    (("step-floquet", "--pattern", step_pattern({"hamiltonian": [], "duration": 1.0})),
+     "error: field 'steps'[0].hamiltonian must be a matrix"),
+    (("step-floquet", "--pattern",
+      step_pattern({"hamiltonian": [[1.0, 0.0], [0.0]], "duration": 1.0})),
+     "error: field 'steps'[0].hamiltonian must be square"),
+    (("spin-spectrum", "--mu", "0", "--omega", "1", "--points", "3"),
+     "error: field 'mu' must be nonzero for a ratio sweep"),
+    (("osc-trajectory", "--profile", SIN_PROFILE, "--t-end", "-1"),
+     "error: t_end must not precede t_start"),
+    (("osc-spectrum", "--profile", "ARRAY_FILE") + SPECTRUM_GRID,
+     "error: profile must be a JSON object"),
+    (("osc-spectrum", "--profile", '{"kind": "constant", "beta0": 1.0, "omega": -2}')
+     + SPECTRUM_GRID, "error: field 'omega' must be positive"),
+    (("planar-loop", "--beta0", "0.78539", "--beta1", "0.94595",
+      "--omega", "6.283185307179586", "--periods", "24", "--tol", "-1"),
+     "error: tol must be positive and finite, got -1.0"),
+], ids=["unreadable-profile", "beta0-min-text", "pattern-without-steps", "step-not-object",
+        "step-extra-key", "step-without-hamiltonian", "empty-hamiltonian", "ragged-hamiltonian",
+        "spin-sweep-zero-mu", "negative-t-end", "profile-file-not-object",
+        "constant-negative-omega", "negative-tol"])
+def test_configuration_error_exits_2_naming_the_field(argv, message, tmp_path, capsys):
+    files = {"MISSING_FILE": str(tmp_path / "missing.json"),
+             "ARRAY_FILE": str(tmp_path / "array.json")}
+    Path(files["ARRAY_FILE"]).write_text("[1]")
+    argv = [files.get(arg, arg) for arg in argv]
+    for token, path in files.items():
+        message = message.replace(token, path)
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("bound, value", [("--ratio-min", "0"), ("--ratio-max", "-1")])
 def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, capsys):
     code = run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--points", "3", bound, value)

@@ -107,6 +107,18 @@ def test_rotating_frame_reconstruction_matches_direct_flow(profile):
     assert np.abs(direct - reconstruct_planar(theta, m_radial)).max() < 1e-7
 
 
+def test_reconstruction_is_the_rotation_composed_with_the_radial_map():
+    # kron(M, R) against the product it stands for, kron(1, R) kron(M, 1).
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m_radial = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        theta = rng.uniform(-100.0, 100.0)
+        c, s = np.cos(theta), np.sin(theta)
+        rotation = np.array([[c, s], [-s, c]])
+        expected = np.kron(np.eye(2), rotation) @ np.kron(m_radial, np.eye(2))
+        assert np.array_equal(reconstruct_planar(theta, m_radial), expected)
+
+
 def test_rotating_frame_reduction_values():
     theta, m_radial = rotating_frame_reduction(DriveProfile.constant(1.0, 1.0))
     assert theta == pytest.approx(1.0)

@@ -26,7 +26,7 @@ from floqtools import (
     unitarity_defect,
 )
 from floqtools import propagator
-from floqtools._linops import _matmul2, _streamed_chain_matmul, chain_matmul
+from floqtools._linops import _matmul2, chain_matmul
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,6 +100,10 @@ NAN_MATRIX = np.array([[math.nan, 0.0], [0.0, 1.0]])
                  id="step_evolve-nan"),
     pytest.param(lambda: step_evolve([(SIGMA_Z, 1.0)], math.inf), "t must be finite",
                  id="step_evolve-inf"),
+    pytest.param(lambda: StepPattern(()), r"^a step pattern needs at least one \(H, tau\) step$",
+                 id="StepPattern-empty"),
+    pytest.param(lambda: step_evolve([(SIGMA_Z, 1.0)], -1.0), "^t must be non-negative$",
+                 id="step_evolve-negative"),
 ])
 def test_non_finite_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -398,22 +402,20 @@ def test_closed_form_2x2_steps_match_eigh(rows, a0, dt):
     hs = propagator._hermitian(su2_stack(rows + [(a0, 0.0, 0.0, 0.0), (0.0,) * 4]))
     u = propagator._expm_batch(hs, dt)
     for h, step in zip(hs, u):
-        by_eigh = propagator._expm_batch(h[None], dt)[0]
+        w, v = np.linalg.eigh(h)
+        by_eigh = (v * np.exp(-1j * dt * w)) @ v.conj().T
         scale = max(1.0, np.abs(np.linalg.eigvalsh(h)).max() * abs(dt))
         assert np.abs(step - by_eigh).max() <= 1e-14 * scale
         assert unitarity_defect(step) <= 1e-14
         assert abs(np.linalg.det(step) - np.exp(-1j * dt * np.trace(h))) <= 1e-14
 
 
-def test_lone_2x2_matrix_goes_through_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-    h = propagator._hermitian(su2_stack([(0.5, 1.0, -2.0, 0.25)] * 2))
-    propagator._expm_batch(h, 0.7)
-    assert calls == []
-    propagator._expm_batch(h[:1], 0.7)
-    assert calls == [(1, 2, 2)]
+def test_lone_2x2_matrix_takes_the_closed_form_of_a_stack():
+    hs = propagator._hermitian(su2_stack([(0.5, 1.0, -2.0, 0.25), (-1.0, 0.0, 3.0, 1e-3)]))
+    u = propagator._expm_batch(hs, 0.7)
+    for h, step in zip(hs, u):
+        assert np.array_equal(propagator._expm_batch(h[None], 0.7)[0], step)
+        assert np.array_equal(expm_hermitian(h, 0.7).matrix, step)
 
 
 def test_entry_wise_2x2_product_matches_matmul():
@@ -504,17 +506,12 @@ def test_evolve_in_chunks_is_bit_identical_to_one_chunk(monkeypatch, h, t_end, t
 
 @pytest.mark.parametrize("size", [1, 4, 16])
 def test_streamed_product_builds_aligned_chunks_and_matches_the_whole_chain(size):
+    # The chain of aligned block products, as evolve forms it, is the whole chain.
     rng = np.random.default_rng(9)
     mats = rng.normal(size=(70, 2, 2)) + 1j * rng.normal(size=(70, 2, 2))
     for n in range(1, 71):
-        spans = []
-        product = _streamed_chain_matmul(
-            lambda lo, hi: spans.append((lo, hi)) or mats[lo:hi], n, size)
-        assert np.array_equal(product, chain_matmul(mats[:n]))
-        assert [lo for lo, _ in spans] == [size * j for j in range(len(spans))]
-        assert spans[-1][1] == n
-        assert all(hi - lo == size for lo, hi in spans[:-1])
-        assert min(n, size) <= n - spans[-1][0] < 2 * size
+        blocks = [chain_matmul(mats[lo:min(lo + size, n)]) for lo in range(0, n, size)]
+        assert np.array_equal(chain_matmul(blocks), chain_matmul(mats[:n])), n
 
 
 def test_evolve_memory_does_not_grow_with_the_step_count():

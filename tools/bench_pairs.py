@@ -10,17 +10,28 @@ be named; each gets its own pairs. For every end-to-end metric the summary
 gives each side's median and quartiles and the number of pairs the change
 wins (a strictly better value in the sense of BENCHMARK.json). It also gives
 `correct`, `attempted` and `failed` of every run and the `environment` block
-each checkout wrote to its bench_results/. Nothing under bench/ changes.
-The JSON summary goes to stdout, or to FILE with -o.
+each checkout wrote to its bench_results/. Before the first pair it deletes
+every __pycache__ under src/ and bench/ of both checkouts, so that neither
+side starts with bytecode left by an earlier run; apart from those caches,
+nothing under bench/ changes. The JSON summary goes to stdout, or to FILE
+with -o.
 """
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def clear_bytecode(checkout):
+    """Delete every __pycache__ directory under src/ and bench/ of a checkout."""
+    for top in ("src", "bench"):
+        for cache in list((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -72,6 +83,8 @@ def main(argv=None):
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     declared = {m["name"]: m for m in spec["end_to_end"]}
+    for checkout in checkouts.values():
+        clear_bytecode(checkout)
 
     report = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
     for workload in args.workload:
