@@ -24,7 +24,6 @@ from .propagator import (
     evolve,
     expm_hermitian,
     floquet_hamiltonian,
-    instantaneous_spectrum,
     quasienergies,
     reduce_to_zone,
     step_evolve,

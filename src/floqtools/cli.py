@@ -25,12 +25,7 @@ from .profiles import (
     profile_from_json,
     with_amplitude,
 )
-from .propagator import (
-    StepPattern,
-    instantaneous_spectrum,
-    quasienergies,
-    step_propagator,
-)
+from .propagator import StepPattern, quasienergies, step_propagator
 
 
 def _fmt(value):
@@ -229,16 +224,23 @@ def _cmd_stability_scan(args):
 
 def _cmd_spin_spectrum(args):
     if args.points is None:
-        params = spin_resonance.SpinParams(args.mu, args.B, args.omega)
-        points = [(abs(args.mu * args.B) / args.omega, params)]
+        for option, bound in ("--ratio-min", args.ratio_min), ("--ratio-max", args.ratio_max):
+            if bound is not None:
+                raise ProfileError(f"option {option} applies only to a sweep (--points)")
+        b_field = 0.0 if args.B is None else args.B
+        params = spin_resonance.SpinParams(args.mu, b_field, args.omega)
+        points = [(abs(args.mu * b_field) / args.omega, params)]
     else:
+        if args.B is not None:
+            raise ProfileError("option --B applies only to a single point, not to a sweep")
         if args.mu == 0:
             raise ProfileError("field 'mu' must be nonzero for a ratio sweep")
-        for option, bound in ("--ratio-min", args.ratio_min), ("--ratio-max", args.ratio_max):
+        ratio_min = 1e-3 if args.ratio_min is None else args.ratio_min
+        ratio_max = 1e3 if args.ratio_max is None else args.ratio_max
+        for option, bound in ("--ratio-min", ratio_min), ("--ratio-max", ratio_max):
             if not bound > 0:
                 raise ProfileError(f"option {option} must be positive, got {bound:g}")
-        ratios = np.logspace(math.log10(args.ratio_min), math.log10(args.ratio_max),
-                             args.points)
+        ratios = np.logspace(math.log10(ratio_min), math.log10(ratio_max), args.points)
         points = [(ratio, spin_resonance.SpinParams(
             args.mu, ratio * args.omega / abs(args.mu), args.omega)) for ratio in ratios]
     rows = [(float(ratio),
@@ -250,13 +252,12 @@ def _cmd_spin_spectrum(args):
 
 def _cmd_step_floquet(args):
     pattern = _load_pattern(args.pattern)
-    rows = []
-    for i, (h, _) in enumerate(pattern.steps):
-        for energy in instantaneous_spectrum(h):
-            rows.append((f"instantaneous_{i + 1}", float(energy)))
+    # StepPattern has checked and symmetrized every matrix.
+    levels = np.linalg.eigvalsh(np.array([h for h, _ in pattern.steps]))
+    rows = [(f"instantaneous_{i + 1}", float(energy))
+            for i, step_levels in enumerate(levels) for energy in step_levels]
     spectrum = quasienergies(step_propagator(pattern), pattern.period)
-    for energy in spectrum.values:
-        rows.append(("floquet", float(energy)))
+    rows += [("floquet", float(energy)) for energy in spectrum.values]
     return ("line_kind", "energy"), rows
 
 
@@ -347,12 +348,14 @@ def build_parser():
 
     p = sub.add_parser("spin-spectrum", help="resonance spacing of the rotating-field spin")
     p.add_argument("--mu", type=_finite_float, required=True)
-    p.add_argument("--B", type=_finite_float, default=0.0)
+    p.add_argument("--B", type=_finite_float, default=None, help="single point only (default 0)")
     p.add_argument("--omega", type=_finite_float, required=True)
     p.add_argument("--points", type=_positive_int, default=None,
                    help="log-grid sweep of mu B / omega instead of a single point")
-    p.add_argument("--ratio-min", type=_finite_float, default=1e-3)
-    p.add_argument("--ratio-max", type=_finite_float, default=1e3)
+    p.add_argument("--ratio-min", type=_finite_float, default=None,
+                   help="sweep only (default 1e-3)")
+    p.add_argument("--ratio-max", type=_finite_float, default=None,
+                   help="sweep only (default 1e3)")
     _add_steps(p, "max(4096, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega, "
                   "at most 2^20")
     p.set_defaults(func=_cmd_spin_spectrum)

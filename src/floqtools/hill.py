@@ -50,10 +50,12 @@ def monodromy(profile, n_steps=None):
 
     Constant and steps profiles are composed from exact rotation/shear
     blocks (n_steps is only checked); sinusoidal profiles use n_steps
-    midpoint-frozen blocks per period, each exactly area preserving.
+    midpoint-frozen blocks per period, each exactly area preserving. The
+    first overflow or invalid value raises FloatingPointError.
     """
-    dts, betas = integration_segments(profile, 0.0, profile.period, n_steps)
-    return chain_matmul(oscillator_blocks(betas, dts))
+    with raise_on_overflow("the monodromy overflows"):
+        dts, betas = integration_segments(profile, 0.0, profile.period, n_steps)
+        return chain_matmul(oscillator_blocks(betas, dts))
 
 
 def classify_trace(tr):

@@ -336,8 +336,3 @@ def epicycle(h, f, t, n_steps=None):
     u = evolve(h, t, n_steps)
     g = u.matrix @ expm_hermitian(f, -float(t)).matrix
     return Unitary(g)
-
-
-def instantaneous_spectrum(h):
-    """Eigenvalues of a frozen Hamiltonian, ascending."""
-    return np.linalg.eigvalsh(as_hermitian(h))

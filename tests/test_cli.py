@@ -143,6 +143,12 @@ SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
      "error: field 'steps'[0].hamiltonian must be square"),
     (("spin-spectrum", "--mu", "0", "--omega", "1", "--points", "3"),
      "error: field 'mu' must be nonzero for a ratio sweep"),
+    (("spin-spectrum", "--mu", "1", "--B", "5", "--omega", "1", "--points", "2",
+      "--ratio-max", "1"), "error: option --B applies only to a single point"),
+    (("spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1", "--ratio-min", "1"),
+     "error: option --ratio-min applies only to a sweep"),
+    (("spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1", "--ratio-max", "1"),
+     "error: option --ratio-max applies only to a sweep"),
     (("osc-trajectory", "--profile", SIN_PROFILE, "--t-end", "-1"),
      "error: t_end must not precede t_start"),
     (("osc-spectrum", "--profile", "ARRAY_FILE") + SPECTRUM_GRID,
@@ -154,7 +160,8 @@ SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
      "error: tol must be positive and finite, got -1.0"),
 ], ids=["unreadable-profile", "beta0-min-text", "pattern-without-steps", "step-not-object",
         "step-extra-key", "step-without-hamiltonian", "empty-hamiltonian", "ragged-hamiltonian",
-        "spin-sweep-zero-mu", "negative-t-end", "profile-file-not-object",
+        "spin-sweep-zero-mu", "spin-sweep-with-B", "spin-point-with-ratio-min",
+        "spin-point-with-ratio-max", "negative-t-end", "profile-file-not-object",
         "constant-negative-omega", "negative-tol"])
 def test_configuration_error_exits_2_naming_the_field(argv, message, tmp_path, capsys):
     files = {"MISSING_FILE": str(tmp_path / "missing.json"),
@@ -174,6 +181,15 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
     code = run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--points", "3", bound, value)
     assert code == 2
     assert bound in capsys.readouterr().err
+
+
+def test_spin_spectrum_defaults_of_a_point_and_of_a_sweep(capsys):
+    assert run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--steps", "64") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,0"
+    assert run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--points", "2",
+                   "--steps", "64") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.001", "1000"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,8 @@ from floqtools import (
     NoRootError,
     classical_trajectory,
     constant_family,
+    eval_beta,
+    evolve,
     find_loop_beta,
     floquet_result,
     loop_deviation,
@@ -16,6 +18,7 @@ from floqtools import (
     omega_F_scan,
     oscillator_quasienergies,
     rectangular_family,
+    reduce_to_zone,
     sinusoid_family,
 )
 from floqtools._linops import rotation2
@@ -61,6 +64,15 @@ def test_rectangular_profile_closed_form_trace():
 ])
 def test_monodromy_has_unit_determinant(profile):
     assert abs(np.linalg.det(monodromy(profile)) - 1.0) < 1e-10
+
+
+def test_monodromy_overflow_raises_without_warning(recwarn):
+    # The product of the three blocks overflows in its [1, 0] entry.
+    profile = DriveProfile.from_steps(((1e300, 1.0), (1e-300, 1.0), (1e300, 1.0)))
+    with pytest.raises(FloatingPointError,
+                       match="^result is not finite: the monodromy overflows$"):
+        monodromy(profile)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sinusoid_against_many_constant_steps():
@@ -201,6 +213,28 @@ def test_oscillator_quasienergy_ladder():
 def test_oscillator_quasienergy_ladder_rejects_infinite_omega():
     with pytest.raises(ValueError, match="omega"):
         oscillator_quasienergies(1.0, math.inf, 3)
+
+
+@pytest.mark.parametrize("beta0", [2.2, 1.0])
+def test_quantum_quasienergies_lie_on_the_classical_ladder(beta0):
+    # H(t) = p^2/2 + beta(t)^2 q^2/2 in the lowest d Fock states, with q^2
+    # and p^2 formed in d + 4 states so that truncation leaves them exact.
+    d = 30
+    a = np.diag(np.sqrt(np.arange(1.0, d + 4)), 1)
+    q2 = 0.5 * ((a + a.T) @ (a + a.T))[:d, :d]
+    p2 = -0.5 * ((a.T - a) @ (a.T - a))[:d, :d]
+    profile = DriveProfile.sinusoid(beta0, TWO_PI)
+    u = evolve(lambda t: 0.5 * p2 + 0.5 * (eval_beta(profile, t) ** 2)[..., None, None] * q2,
+               1.0, 512)
+    phases, vectors = np.linalg.eig(u.matrix)
+    # Floquet states of the truncated space that the cut does not reach.
+    kept = (np.abs(vectors[:10]) ** 2).sum(axis=0) >= 0.999
+    assert kept.sum() >= 4
+    omega_f = floquet_result(monodromy(profile), 1.0).omega_F
+    ladder = oscillator_quasienergies(omega_f, TWO_PI, d)
+    energies = -np.angle(phases[kept])
+    distance = np.abs(reduce_to_zone(energies[:, None] - ladder, TWO_PI)).min(axis=1)
+    assert distance.max() < 3e-8
 
 
 # ---------- trajectories ----------

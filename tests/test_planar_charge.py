@@ -175,6 +175,24 @@ def test_threshold_value_and_scale_invariance():
     assert max(alphas) - min(alphas) < 1e-5
 
 
+def test_threshold_matches_the_first_mathieu_boundary():
+    # With q = alpha^2 the stability_family drive is Mathieu's equation on
+    # the line a = 2q, and its first boundary solves 2q = b_1(q).
+    from scipy.optimize import brentq
+    from scipy.special import mathieu_b
+
+    grid = np.linspace(0.1, 1.0, 9001)
+    steps = np.diff(mathieu_b(1, grid))
+    # scipy's characteristic values jump at larger q; here b_1 is smooth and
+    # decreasing, so 2q - b_1(q) has one root in the bracket.
+    assert (steps < 0).all() and np.abs(steps).max() < 2.0 * (grid[1] - grid[0])
+    q_star = brentq(lambda q: 2.0 * q - mathieu_b(1, q), 0.1, 1.0, xtol=1e-15)
+    alpha_star = math.sqrt(q_star)
+    assert alpha_star == pytest.approx(0.5735902089705807, abs=1e-14)
+    # The bound is the midpoint error at 4096 steps, 3.9e-8.
+    assert abs(stability_threshold(TWO_PI, xtol=1e-12) - alpha_star) < 5e-8
+
+
 def test_moderate_amplitude_is_stable():
     profile = DriveProfile.sinusoid(2.0 * 0.35 * TWO_PI, TWO_PI)
     assert abs(np.trace(monodromy(profile))) < 2.0

@@ -18,7 +18,6 @@ from floqtools import (
     evolve,
     expm_hermitian,
     floquet_hamiltonian,
-    instantaneous_spectrum,
     quasienergies,
     reduce_to_zone,
     step_evolve,
@@ -348,19 +347,6 @@ def test_epicycle_closes_at_period_multiples():
     for n in (1, 2, 3):
         g = epicycle(h, f, float(n), n_steps=1024 * n)
         assert np.abs(g.matrix - np.eye(2)).max() < 1e-8
-
-
-def test_instantaneous_spectrum_examples():
-    assert_allclose(instantaneous_spectrum(SIGMA_Z), [-1.0, 1.0])
-    assert_allclose(instantaneous_spectrum(np.array([[5.0]])), [5.0])
-    # Characteristic polynomial of [[1, 2], [2, 1]]: (1 - e)^2 = 4.
-    assert_allclose(instantaneous_spectrum(np.array([[1.0, 2.0], [2.0, 1.0]])),
-                    [-1.0, 3.0], atol=1e-14)
-
-
-def test_instantaneous_spectrum_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        instantaneous_spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_as_hermitian_symmetrizes_within_tolerance():

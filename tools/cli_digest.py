@@ -50,7 +50,8 @@ def step_floquet(hamiltonian, duration):
 # straddle the 4096-step chunk edges of propagator.evolve; the odd Hill chains
 # (4097 and 3 sin steps, three drive steps) carry an odd last block through
 # chain_matmul; the runs after them reach the input checks of the profile and
-# pattern loaders and the overflow guards of step-floquet.
+# pattern loaders, the overflow guards of step-floquet, and the spin-spectrum
+# options that do not apply to a sweep or to a single point.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -82,6 +83,9 @@ EXTRA = [
     ("step-floquet/duration-huge", step_floquet("[[1, 0], [0, -1]]", HUGE)),
     ("step-floquet/exponent-overflow", step_floquet("[[1e300, 0], [0, -1e300]]", "1e10")),
     ("step-floquet/large-hermitian", step_floquet("[[1e308, 1e308], [1e308, -1e308]]", "1")),
+    ("spin-spectrum/sweep-with-B", ["spin-spectrum", "--mu", "1", "--B", "5", "--omega", "1",
+                                    "--points", "2", "--ratio-max", "1"]),
+    ("spin-spectrum/point-with-ratio-max", SPIN_POINT + ["--ratio-max", "1"]),
 ]
 
 
