@@ -356,7 +356,7 @@ def build_parser():
                    help="sweep only (default 1e-3)")
     p.add_argument("--ratio-max", type=_finite_float, default=None,
                    help="sweep only (default 1e3)")
-    _add_steps(p, "max(4096, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega, "
+    _add_steps(p, "max(1024, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega, "
                   "at most 2^20")
     p.set_defaults(func=_cmd_spin_spectrum)
 

@@ -35,25 +35,59 @@ _CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
 _CHUNK = 4096
 
 
-def _hermitian(m):
-    """Exactly symmetrized copy of a Hermitian matrix or (n, d, d) stack.
+def _require_hermitian(defect, m):
+    """ValueError unless every matrix of m is Hermitian within tolerance.
 
-    Each matrix may deviate from Hermiticity by 1e-12 times the larger of 1
-    and its own largest entry. The comparisons are written so that a NaN
-    fails them. The halves are formed first, so neither their difference
-    nor their sum can overflow, and the sum is exact.
+    defect holds |half - half^dag| of m, entry by entry or already reduced to
+    its largest value per matrix. Each matrix may deviate by 1e-12 times the
+    larger of 1 and its own largest entry. The comparisons are written so
+    that a NaN fails them, and an infinite defect fails even where an
+    infinite entry makes the scale infinite.
     """
-    half = 0.5 * m
-    # C order, so the difference and sum below run on matching strides.
-    half_dag = np.conj(np.swapaxes(half, -1, -2), order="C")
-    defect = np.abs(half - half_dag)
     # Every scale is at least 1, so a defect within the bare tolerance passes
     # without the per-matrix maxima.
     if not defect.max() <= 0.5 * _HERMITIAN_TOL:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        if not (defect.max(axis=(-2, -1)) <= 0.5 * _HERMITIAN_TOL * scale).all():
+        worst = defect.reshape(scale.shape + (-1,)).max(axis=-1)
+        if not ((worst <= 0.5 * _HERMITIAN_TOL * scale) & (worst < math.inf)).all():
             raise ValueError(f"matrix is not Hermitian (defect {2 * float(defect.max()):.3e})")
+
+
+def _hermitian(m):
+    """Exactly symmetrized copy of a Hermitian matrix or (n, d, d) stack.
+
+    The halves are formed first, so neither their difference nor their sum
+    can overflow, and the sum is exact. The halving turns an infinite entry
+    into NaN parts, and so its defect into NaN or infinity, which fails the
+    check; invalid values are ignored there, so it fails without a
+    RuntimeWarning.
+    """
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * m
+        # C order, so the difference and sum below run on matching strides.
+        half_dag = np.conj(np.swapaxes(half, -1, -2), order="C")
+        defect = np.abs(half - half_dag)
+    _require_hermitian(defect, m)
     return half + half_dag
+
+
+def _hermitian2(m):
+    """Entries (upper, lower, off) of _hermitian(m) for an (n, 2, 2) stack, bit for bit.
+
+    upper and lower are the real diagonals and off the entry [1, 0]; [0, 1]
+    is its conjugate. The halves, the defect and its check are _hermitian's,
+    formed on the four entry rows instead of the stack. The defect of a
+    diagonal entry is |h - conj(h)|, not |Im h|, so a NaN or infinite real
+    part fails the check as well.
+    """
+    with np.errstate(invalid="ignore"):
+        h00, h11 = 0.5 * m[:, 0, 0], 0.5 * m[:, 1, 1]
+        h01, h10 = 0.5 * m[:, 0, 1], 0.5 * m[:, 1, 0]
+        defect = np.abs(h00 - h00.conj())
+        np.maximum(defect, np.abs(h11 - h11.conj()), out=defect)
+        np.maximum(defect, np.abs(h10 - h01.conj()), out=defect)
+    _require_hermitian(defect, m)
+    return h00.real + h00.real, h11.real + h11.real, h10 + h01.conj()
 
 
 def as_hermitian(h):
@@ -137,37 +171,44 @@ class QuasiSpectrum:
         object.__setattr__(self, "values", vals)
 
 
+def _expm2(upper, lower, off, dt):
+    """exp(-i dt H) for each exactly Hermitian 2x2 H given by its entry rows.
+
+    H = [[upper, conj(off)], [off, lower]] = a0 + n.sigma, and exp(-i dt H) =
+    e^{-i a0 dt} [cos(|n| dt) - i S n.sigma] with S = sin(|n| dt) / |n| =
+    dt sinc(|n| dt), sinc(x) = sin(x) / x taking its limit 1 at x = 0, so
+    n = 0 needs no branch. The sine and cosine share one argument, which
+    keeps U unitary to roundoff at any |n| dt. a0 and n_z are formed from
+    the halves of the diagonal, so an entry near the largest float stays
+    finite. The steps are written entry-major, into a contiguous (2, 2, n)
+    array, and returned as its (n, 2, 2) view, the layout _matmul2 reads.
+    """
+    nz = 0.5 * upper - 0.5 * lower
+    norm = np.hypot(nz, np.abs(off))
+    angle = norm * dt
+    sinc = np.ones_like(angle)
+    np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
+    phase = np.exp(-1j * dt * (0.5 * upper + 0.5 * lower))
+    cos = phase * np.cos(angle)
+    sin = -1j * dt * phase * sinc
+    u = np.empty((2, 2, angle.size), dtype=complex)
+    np.add(cos, sin * nz, out=u[0, 0])
+    np.multiply(sin, off.conj(), out=u[0, 1])
+    np.multiply(sin, off, out=u[1, 0])
+    np.subtract(cos, sin * nz, out=u[1, 1])
+    return u.transpose(2, 0, 1)
+
+
 def _expm_batch(hs, dt):
     """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack.
 
     Every 2x2 stack, a stack of one included, is exponentiated in closed
-    form: with H = a0 + n.sigma, exp(-i dt H) = e^{-i a0 dt} [cos(|n| dt) -
-    i S n.sigma] and S = sin(|n| dt) / |n| = dt sinc(|n| dt), sinc(x) =
-    sin(x) / x taking its limit 1 at x = 0, so n = 0 needs no branch. The
-    sine and cosine share one argument, which keeps U unitary to roundoff at
-    any |n| dt. a0, n_z come from the real diagonal and n_x + i n_y from
-    H[1, 0] alone, which is exact because every caller passes an exactly
-    symmetrized stack: _hermitian makes it so, and the real combinations
-    A1 h1 + A2 h2 of such stacks in CF4 keep it so. a0 and n_z are formed
-    from the halves of the diagonal, so an entry near the largest float
-    stays finite. A stack of d > 2 goes through eigh.
+    form by _expm2, read from the real diagonal and H[1, 0] alone. That is
+    exact because every caller passes an exactly symmetrized stack. A stack
+    of d > 2 goes through eigh.
     """
     if hs.shape[1:] == (2, 2):
-        upper, lower, off = hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0]
-        nz = 0.5 * upper - 0.5 * lower
-        norm = np.hypot(nz, np.abs(off))
-        angle = norm * dt
-        sinc = np.ones_like(angle)
-        np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
-        phase = np.exp(-1j * dt * (0.5 * upper + 0.5 * lower))
-        cos = phase * np.cos(angle)
-        sin = -1j * dt * phase * sinc
-        u = np.empty(hs.shape, dtype=complex)
-        u[:, 0, 0] = cos + sin * nz
-        u[:, 0, 1] = sin * off.conj()
-        u[:, 1, 0] = sin * off
-        u[:, 1, 1] = cos - sin * nz
-        return u
+        return _expm2(hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0], dt)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * dt * w)
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -220,7 +261,9 @@ def _sample_hamiltonian(h, times):
     """Stack H(t) over a time grid, preferring one vectorized call.
 
     A callable may return the full (n, d, d) stack for an array argument; one
-    that raises TypeError or ValueError on it is evaluated per time point.
+    that raises TypeError or ValueError on it is evaluated per time point,
+    and each point is checked by as_hermitian. The vectorized stack is
+    returned as it came, for the caller to check.
     """
     try:
         hs = np.asarray(h(times), dtype=complex)
@@ -228,7 +271,7 @@ def _sample_hamiltonian(h, times):
         hs = None
     if hs is None or hs.ndim != 3 or hs.shape[0] != times.size or hs.shape[1] != hs.shape[2]:
         return np.stack([as_hermitian(h(t)) for t in times])
-    return _hermitian(hs)
+    return hs
 
 
 def evolve(h, t_end, n_steps=None, t_start=0.0):
@@ -237,10 +280,13 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     Each fixed step dt is the fourth-order commutator-free pair of
     exponentials on the two Gauss nodes t + c1 dt, t + c2 dt (Alvermann and
     Fehske, J. Comput. Phys. 230 (2011) 5930):
-    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). For d = 2 the
-    exponentials are taken in closed form (see _expm_batch) and the products
-    entry by entry, by the same 2x2 rule as chain_matmul (see _matmul2);
-    larger d uses eigh and np.matmul.
+    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). For d = 2 each
+    step is computed on the three independent entries of H: the samples are
+    checked entry by entry (_hermitian2), combined row by row, exponentiated
+    in closed form into the entry-major layout (_expm2) and multiplied entry
+    by entry, by the same 2x2 rule as chain_matmul (_matmul2); the result is
+    bit for bit that of the same steps formed on full matrices. Larger d
+    checks the whole stack and uses eigh and np.matmul.
     Each run of _CHUNK steps is formed and reduced by chain_matmul, and the
     run products by one more chain_matmul, so at most _CHUNK steps are held
     whatever n_steps is; _CHUNK is a power of two, so the product is bit for
@@ -279,10 +325,16 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
 
     def cf4_steps(lo, hi):
         base = t_start + dt * np.arange(lo, hi)
-        h1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
-        h2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
-        first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
-        second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
+        s1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
+        s2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
+        if s1.shape[1:] == s2.shape[1:] == (2, 2):
+            r1, r2 = _hermitian2(s1), _hermitian2(s2)
+            first = _expm2(*[_CF4_A1 * x + _CF4_A2 * y for x, y in zip(r1, r2)], dt)
+            second = _expm2(*[_CF4_A2 * x + _CF4_A1 * y for x, y in zip(r1, r2)], dt)
+        else:
+            h1, h2 = _hermitian(s1), _hermitian(s2)
+            first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
+            second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
         return _matmul2(second, first)
 
     # The first overflow while H(t) is sampled, combined or exponentiated

@@ -109,6 +109,24 @@ def test_non_finite_input_is_rejected(call, match):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("i, j, imaginary", [(0, 0, False), (1, 1, True), (0, 1, False),
+                                             (1, 0, True)],
+                         ids=["diagonal", "diagonal-imag", "upper", "lower-imag"])
+def test_non_finite_hamiltonian_entry_is_rejected_without_warnings(dim, value, i, j, imaginary):
+    m = np.zeros((dim, dim), dtype=complex)
+    # complex(0, inf), not 1j * inf, whose real part is NaN.
+    m[i, j] = complex(0.0, value) if imaginary else complex(value, 0.0)
+    calls = [lambda: as_hermitian(m), lambda: StepPattern(((m, 1.0),)),
+             lambda: expm_hermitian(m, 1.0),
+             lambda: evolve(lambda t: np.broadcast_to(m, np.shape(t) + m.shape), 1.0, 4)]
+    for call in calls:
+        with pytest.raises(ValueError, match="Hermitian"):
+            call()
+
+
 # ---------- step patterns ----------
 
 
@@ -396,6 +414,55 @@ def test_closed_form_2x2_steps_match_eigh(rows, a0, dt):
         assert abs(np.linalg.det(step) - np.exp(-1j * dt * np.trace(h))) <= 1e-14
 
 
+unit = st.floats(min_value=-1.0, max_value=1.0)
+entry = st.tuples(st.integers(0, 1), st.integers(0, 1), st.booleans())  # i, j, imaginary part
+
+
+@st.composite
+def near_hermitian_stacks(draw):
+    """2x2 stacks at scale 1 or 1e3, each matrix off Hermitian by up to twice the
+    tolerance in one entry, and sometimes one entry NaN or infinite."""
+    n = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    m = scale * su2_stack(draw(st.lists(st.tuples(unit, unit, unit, unit),
+                                        min_size=n, max_size=n)))
+    for k in range(n):
+        i, j, imaginary = draw(entry)
+        size = draw(st.floats(0.0, 2.0)) * 1e-12 * max(1.0, float(np.abs(m[k]).max()))
+        m[k, i, j] += 1j * size if imaginary else size
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        i, j, imaginary = draw(entry)
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        re, im = m[k, i, j].real, m[k, i, j].imag
+        m[k, i, j] = complex(re, value) if imaginary else complex(value, im)
+    return m
+
+
+def _outcome(check, m):
+    try:
+        return check(m)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(m=near_hermitian_stacks())
+def test_entry_check_is_the_matrix_check_on_three_rows(m):
+    full = _outcome(propagator._hermitian, m)
+    rows = _outcome(propagator._hermitian2, m)
+    if isinstance(full, str):
+        assert rows == full
+        return
+    assert not isinstance(rows, str), rows
+    upper, lower, off = rows
+    for got, want in ((upper, full[:, 0, 0].real), (lower, full[:, 1, 1].real),
+                      (off, full[:, 1, 0])):
+        assert got.tobytes() == want.tobytes()
+    assert not full[:, 0, 0].imag.any() and not full[:, 1, 1].imag.any()
+
+
 def test_lone_2x2_matrix_takes_the_closed_form_of_a_stack():
     hs = propagator._hermitian(su2_stack([(0.5, 1.0, -2.0, 0.25), (-1.0, 0.0, 3.0, 1e-3)]))
     u = propagator._expm_batch(hs, 0.7)
@@ -443,22 +510,34 @@ def test_2x2_chain_is_the_entry_formula_reduction(dtype):
         assert np.abs(ref - by_matmul).max() <= 1e-14 * np.abs(by_matmul).max()
 
 
-def test_fourth_order_step_above_dimension_two_is_unchanged():
-    rng = np.random.default_rng(7)
-    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-
-    def h(t):
-        return h0 + np.multiply.outer(np.cos(TWO_PI * np.asarray(t)), h1)
-
-    n, dt = 64, 1.0 / 64
+def _cf4_on_stacks(h, n, product):
+    """evolve's n CF4 steps across [0, 1], formed on full checked (n, d, d) stacks."""
+    dt = 1.0 / n
     base = dt * np.arange(n)
-    hs1 = propagator._sample_hamiltonian(h, base + propagator._GAUSS_C1 * dt)
-    hs2 = propagator._sample_hamiltonian(h, base + propagator._GAUSS_C2 * dt)
+    hs1, hs2 = (propagator._hermitian(propagator._sample_hamiltonian(h, base + c * dt))
+                for c in (propagator._GAUSS_C1, propagator._GAUSS_C2))
     a1, a2 = propagator._CF4_A1, propagator._CF4_A2
     first = propagator._expm_batch(a1 * hs1 + a2 * hs2, dt)
     second = propagator._expm_batch(a2 * hs1 + a1 * hs2, dt)
-    expected = chain_matmul(np.matmul(second, first))
-    assert np.array_equal(evolve(h, 1.0, n).matrix, expected)
+    return chain_matmul(product(second, first))
+
+
+def _cosine_drive(dim, seed):
+    rng = np.random.default_rng(seed)
+    h0, h1 = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    return lambda t: h0 + np.multiply.outer(np.cos(TWO_PI * np.asarray(t)), h1)
+
+
+def test_fourth_order_step_above_dimension_two_is_unchanged():
+    h = _cosine_drive(3, 7)
+    assert np.array_equal(evolve(h, 1.0, 64).matrix, _cf4_on_stacks(h, 64, np.matmul))
+
+
+def test_fourth_order_step_at_dimension_two_equals_the_stack_route():
+    # evolve forms each 2x2 step on three entry rows; the same steps formed
+    # on full matrices give the same bits.
+    h = _cosine_drive(2, 7)
+    assert np.array_equal(evolve(h, 1.0, 64).matrix, _cf4_on_stacks(h, 64, _matmul2))
 
 
 # ---------- streamed reduction ----------
@@ -470,15 +549,9 @@ def _spin_drive(t):
                    - np.multiply.outer(np.sin(1.1 * t), SIGMA_Y))
 
 
-def _three_level_drive():
-    rng = np.random.default_rng(8)
-    h0, h1 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-    return lambda t: h0 + np.multiply.outer(np.cos(TWO_PI * np.asarray(t)), h1)
-
-
 @pytest.mark.parametrize("h, t_end, t_start", [
     (_spin_drive, 5.7, 0.0),
-    (_three_level_drive(), 1.0, 0.0),
+    (_cosine_drive(3, 8), 1.0, 0.0),
     (_spin_drive, 2.1, -0.4),
 ], ids=["spin", "three-level", "t_start"])
 def test_evolve_in_chunks_is_bit_identical_to_one_chunk(monkeypatch, h, t_end, t_start):

@@ -150,7 +150,7 @@ def test_propagator_route_across_coupling_decades():
 
 
 def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
-    # The rule max(4096, ceil(64 (|mu B| T)^0.75)) passes 2^20 steps near
+    # The rule max(1024, ceil(64 (|mu B| T)^0.75)) passes 2^20 steps near
     # mu B / omega = 6.62e4.
     asked = []
 
@@ -165,6 +165,30 @@ def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
     with pytest.raises(ValueError, match=r"mu B / omega = 67000 needs 1057721 steps"):
         spin_spacing_from_propagator(SpinParams(1.0, 6.7e4, 1.0))
     assert len(asked) == 1
+
+
+def test_automatic_step_count_has_a_floor_of_1024(monkeypatch):
+    asked = []
+
+    def no_evolve(h, t_end, n_steps):
+        asked.append(n_steps)
+        raise RuntimeError("evolve called")
+
+    monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
+    with pytest.raises(RuntimeError, match="evolve called"):
+        spin_spacing_from_propagator(SpinParams(1.0, 1e-3, 1.0))
+    assert asked == [1024]
+
+
+def test_automatic_step_count_holds_the_folded_gap_error():
+    # The fourth-order rule's own error over the A6 grid is 3.5e-10 omega;
+    # the 1e-7 bound of A6 leaves room for a far coarser rule.
+    omega = 1.0
+    for ratio in np.logspace(-3, 3, 50):
+        params = SpinParams(1.0, ratio, omega)
+        err = reduce_to_zone(spin_spacing_from_propagator(params)
+                             - spin_quasienergy_spacing(params), omega)
+        assert abs(err) <= 4e-10 * omega, f"ratio {ratio}: error {err}"
 
 
 def test_propagator_route_folded_gap():

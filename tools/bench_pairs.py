@@ -8,13 +8,25 @@ once per pair; the side that runs first alternates from pair to pair, so a
 drift of the host's speed falls on both sides alike. Several workloads may
 be named; each gets its own pairs. For every end-to-end metric the summary
 gives each side's median and quartiles and the number of pairs the change
-wins (a strictly better value in the sense of BENCHMARK.json). It also gives
-`correct`, `attempted` and `failed` of every run and the `environment` block
-each checkout wrote to its bench_results/. Before the first pair it deletes
-every __pycache__ under src/ and bench/ of both checkouts, so that neither
-side starts with bytecode left by an earlier run; apart from those caches,
-nothing under bench/ changes. The JSON summary goes to stdout, or to FILE
-with -o.
+wins (a strictly better value in the sense of BENCHMARK.json), and a
+`verdict`, the first of these that holds:
+
+  gain          the change wins at least 9/10 of the pairs, and its median
+                is better than the parent's by more than the parent's
+                quartile spread (q3 - q1);
+  regression    the change's median is worse than the parent's by more than
+                the metric's bound, a fraction of the parent's median;
+  unresolved    the quartile spread of either side is wider than the bound
+                and not every change run is better than every parent run;
+  within bound  otherwise.
+
+It also gives `correct`, `attempted` and `failed` of every run and the
+`environment` block each checkout wrote to its bench_results/. Before the
+first pair it deletes every __pycache__ under src/ and bench/ of both
+checkouts, so that neither side starts with bytecode left by an earlier run;
+apart from those caches, nothing under bench/ changes. The JSON summary goes
+to stdout, or to FILE with -o; one line per workload and metric, with its
+medians, wins and verdict, goes to stderr.
 """
 import argparse
 import json
@@ -54,8 +66,28 @@ def summarise(values):
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(parent, change, wins, sign, bound):
+    """gain, regression, unresolved or within bound (see the module docstring).
+
+    sign is +1 where lower is better and -1 where higher is; bound is the
+    metric's allowed worsening as a fraction of the parent's median.
+    """
+    gap = sign * (parent["median"] - change["median"])  # > 0 where the change is better
+    allowed = bound * abs(parent["median"])
+    if 10 * wins >= 9 * len(parent["values"]) and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > allowed:
+        return "regression"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    every_run_better = (max(sign * v for v in change["values"])
+                        < min(sign * v for v in parent["values"]))
+    if spread > allowed and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(runs, declared):
-    """Per-metric medians, quartiles and change wins of paired runs."""
+    """Per-metric medians, quartiles, change wins and verdict of paired runs."""
     out = {}
     for name, spec in declared.items():
         values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
@@ -64,7 +96,8 @@ def compare(runs, declared):
         parent, change = summarise(values["parent"]), summarise(values["change"])
         out[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
                      "parent": parent, "change": change, "change_wins": wins,
-                     "ratio": change["median"] / parent["median"]}
+                     "ratio": change["median"] / parent["median"],
+                     "verdict": verdict(parent, change, wins, sign, spec["bound"])}
     return out
 
 
@@ -96,8 +129,13 @@ def main(argv=None):
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                       f"run_s {runs[side][-1]['metrics']['run_s']['value']:.4g}",
                       file=sys.stderr)
+        metrics = compare(runs, declared)
+        for name, m in metrics.items():
+            print(f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g} {m['unit']} ({m['ratio']:.3f}), "
+                  f"{m['change_wins']}/{args.pairs} wins: {m['verdict']}", file=sys.stderr)
         report["workloads"][workload] = {
-            "metrics": compare(runs, declared),
+            "metrics": metrics,
             **{key: {side: [run[key] for run in runs[side]] for side in SIDES}
                for key in ("correct", "attempted", "failed")},
             "environment": {side: runs[side][-1]["environment"] for side in SIDES},
