@@ -167,8 +167,8 @@ def oscillator_blocks(betas, dts):
     phi = betas * dts
     c = np.cos(phi)
     s = np.sin(phi)
-    safe = np.where(betas == 0.0, 1.0, betas)
-    upper = np.where(betas == 0.0, dts, s / safe)
+    upper = np.divide(s, betas, out=np.array(np.broadcast_to(dts, betas.shape)),
+                      where=betas != 0.0)
     blocks = np.empty(betas.shape + (2, 2))
     blocks[..., 0, 0] = c
     blocks[..., 0, 1] = upper

@@ -1,6 +1,7 @@
 """Periodic scalar drive profiles beta(t) shared by the oscillator solvers."""
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -177,8 +178,39 @@ def integration_segments(profile, t_start, t_end, n_steps):
 
     The two-point case of sample_segments with n_steps substeps (None
     selects default_steps()); the piecewise-constant kinds ignore n_steps.
+    A sin, offset_sin or steps grid rescales the cached one of its
+    amplitude-free unit by eval_beta's own operations, so it is bit for bit
+    sample_segments'; its dts are read-only.
     """
-    return sample_segments(profile, [t_start, t_end], resolve_steps(n_steps))[:2]
+    pieces = resolve_steps(n_steps)
+    # The cache's keys do not tell 0.0 from -0.0, which only an empty span
+    # at t = 0 tells apart.
+    if profile.kind == "constant" or t_start == t_end:
+        return sample_segments(profile, [t_start, t_end], pieces)[:2]
+    shape = tuple(tau for _, tau in profile.steps) if profile.kind == "steps" else profile.omega
+    dts, units = _unit_segments(shape, float(t_start), float(t_end), pieces)
+    if profile.kind == "steps":
+        return dts, np.array([beta for beta, _ in profile.steps])[units]
+    if profile.kind == "sin":
+        return dts, profile.beta0 * units
+    return dts, profile.beta0 + profile.beta1 * units
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_segments(shape, t_start, t_end, pieces):
+    """Read-only sample_segments(unit, [t_start, t_end], pieces)[:2] of a unit drive.
+
+    The unit is sin(omega t) for shape omega, or betas 0..k-1 on the step
+    durations shape, whose betas come back as intp step indices.
+    """
+    steps = isinstance(shape, tuple)
+    unit = (DriveProfile.from_steps(tuple(enumerate(shape))) if steps
+            else DriveProfile.sinusoid(1.0, shape))
+    dts, units = sample_segments(unit, [t_start, t_end], pieces)[:2]
+    grid = dts, units.astype(np.intp) if steps else units
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 _JSON_FIELDS = {

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from floqtools import (
     reduce_to_zone,
     sinusoid_family,
 )
-from floqtools._linops import rotation2
+from floqtools._linops import oscillator_blocks, raise_on_overflow, rotation2
 from stepping_oracle import TRAJECTORY_CASES, interval_samples
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +74,22 @@ def test_monodromy_overflow_raises_without_warning(recwarn):
                        match="^result is not finite: the monodromy overflows$"):
         monodromy(profile)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_oscillator_blocks_divide_only_where_beta_is_nonzero():
+    betas = np.array([0.0, -0.0, 1.3, -2.7, 5e-324, 1e-300, -1e150, 1e150, 3e100, 0.0])
+    dts = np.array([0.25, 0.5, 0.1, 0.3, 0.5, 0.7, 0.2, 1e-140, 2.0, 4.0])
+    # The blocks as built with two np.where calls and a divisor of 1 at beta = 0.
+    s = np.sin(betas * dts)
+    upper = np.where(betas == 0.0, dts, s / np.where(betas == 0.0, 1.0, betas))
+    c = np.cos(betas * dts)
+    want = np.stack([np.stack([c, upper], -1), np.stack([-betas * s, c], -1)], -2)
+    with warnings.catch_warnings(), raise_on_overflow("the blocks overflow"):
+        warnings.simplefilter("error")
+        blocks = oscillator_blocks(betas, dts)
+    assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
+    for k in np.flatnonzero(betas == 0.0):
+        assert np.array_equal(blocks[k], [[1.0, dts[k]], [0.0, 1.0]])
 
 
 def test_sinusoid_against_many_constant_steps():

@@ -16,7 +16,7 @@ from floqtools import (
     profile_to_json,
     with_amplitude,
 )
-from floqtools.profiles import integration_segments, sample_segments
+from floqtools.profiles import _unit_segments, integration_segments, sample_segments
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,6 +241,60 @@ def test_sample_segments_ignore_substeps_for_piecewise_constant_kinds(profile):
             assert np.array_equal(want, got)
     assert np.array_equal(integration_segments(profile, 0.2, 2.9, 9)[0],
                           sample_segments(profile, [0.2, 2.9])[0])
+
+
+# Two grids of each kind: two drive frequencies, or two sets of durations
+# under the same betas.
+GRID_FAMILIES = {
+    "sin": (DriveProfile.sinusoid(1.7, TWO_PI), DriveProfile.sinusoid(1.7, 5.0)),
+    "offset_sin": (DriveProfile.offset_sinusoid(0.4, 1.1, TWO_PI),
+                   DriveProfile.offset_sinusoid(0.4, 1.1, 5.0)),
+    "steps": (DriveProfile.from_steps(((1.7, 0.3), (-0.4, 0.45), (0.9, 0.25))),
+              DriveProfile.from_steps(((1.7, 0.5), (-0.4, 0.2), (0.9, 0.3)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_FAMILIES))
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.3, 2.7)], ids=["one-period", "off-zero"])
+def test_integration_segments_reuse_only_their_own_grid(kind, span):
+    first, second = GRID_FAMILIES[kind]
+    scaled = with_amplitude(first, -2.5)
+    # Each pair of calls alternates twice: two grids, the same grid at two
+    # amplitudes, or the same drive at two step counts.
+    pairs = [((first, n), (second, n)) for n in (3, 4096, 4097)]
+    pairs += [((first, 4096), (scaled, 4096)), ((first, 4096), (first, 4097))]
+    hits = _unit_segments.cache_info().hits
+    for pair in pairs:
+        for profile, n in pair * 2:
+            a, b = span[0] * profile.period, span[1] * profile.period
+            got = integration_segments(profile, a, b, n)
+            for want, value in zip(sample_segments(profile, [a, b], n)[:2], got):
+                assert value.dtype == want.dtype
+                assert np.array_equal(value.view(np.uint64), want.view(np.uint64))
+    assert _unit_segments.cache_info().hits >= hits + 2 * len(pairs)
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_FAMILIES))
+def test_a_write_into_integration_segments_does_not_reach_the_next_call(kind):
+    profile = GRID_FAMILIES[kind][0]
+    want = sample_segments(profile, [0.0, profile.period], 64)[:2]
+    for i in range(2):
+        value = integration_segments(profile, 0.0, profile.period, 64)[i]
+        try:
+            value[:] = 7.0
+        except ValueError:  # a read-only array
+            pass
+        for expected, again in zip(want, integration_segments(profile, 0.0, profile.period, 64)):
+            assert np.array_equal(again, expected)
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_FAMILIES))
+def test_integration_segments_of_an_empty_span_keep_the_sign_of_zero(kind):
+    profile = GRID_FAMILIES[kind][0]
+    for t_start, t_end in [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]:
+        got = integration_segments(profile, t_start, t_end, 4)
+        for want, value in zip(sample_segments(profile, [t_start, t_end], 4)[:2], got):
+            assert np.array_equal(value.view(np.uint64), want.view(np.uint64))
 
 
 def test_constant_profile_rejects_omega_with_period():

@@ -1,4 +1,5 @@
-"""Property tests of the library constructors, the profile JSON schema and step_evolve."""
+"""Property tests of the library constructors, the profile JSON schema, step_evolve and
+the Hill monodromy."""
 import json
 import math
 from dataclasses import replace
@@ -13,10 +14,14 @@ from floqtools import (
     SpinParams,
     StepPattern,
     TrapField,
+    monodromy,
     profile_from_json,
     profile_to_json,
     step_evolve,
+    with_amplitude,
 )
+from floqtools._linops import chain_matmul, oscillator_blocks
+from floqtools.profiles import sample_segments
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,3 +118,34 @@ def test_step_evolve_composes_with_a_whole_period(dim, data, t):
     later = step_evolve(pattern, t + pattern.period).matrix
     composed = step_evolve(pattern, t).matrix @ step_evolve(pattern, pattern.period).matrix
     assert np.abs(later - composed).max() <= 1e-12
+
+
+# Drives whose one-period monodromies stay far from overflow.
+amplitude = st.floats(-5.0, 5.0)
+frequency = st.floats(0.5, 20.0)
+DRIVES = st.one_of(
+    st.builds(DriveProfile.sinusoid, amplitude, frequency),
+    st.builds(DriveProfile.offset_sinusoid, amplitude, amplitude, frequency),
+    st.builds(DriveProfile.from_steps,
+              st.lists(st.tuples(amplitude, st.floats(0.05, 2.0)), min_size=1, max_size=4)),
+)
+
+
+def _other_grid(profile):
+    """A drive of the same kind on another grid: twice the frequency or the durations."""
+    if profile.kind == "steps":
+        return DriveProfile.from_steps([(beta, 2.0 * tau) for beta, tau in profile.steps])
+    return replace(profile, omega=2.0 * profile.omega)
+
+
+@PROPERTY
+@given(profile=DRIVES, scale=amplitude,
+       n=st.one_of(st.integers(1, 300), st.sampled_from([4096, 4097])))
+def test_monodromy_is_the_product_of_its_sampled_blocks(profile, scale, n):
+    # The grid a monodromy reuses from an earlier one of another grid, or
+    # of another amplitude, must be the grid sample_segments cuts.
+    monodromy(_other_grid(profile), n)
+    for drive in (profile, with_amplitude(profile, scale)):
+        dts, betas, _ = sample_segments(drive, [0.0, drive.period], n)
+        want = chain_matmul(oscillator_blocks(betas, dts))
+        assert np.array_equal(monodromy(drive, n).view(np.uint64), want.view(np.uint64))

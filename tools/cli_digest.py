@@ -1,6 +1,6 @@
 """Digest of the CLI output of every benchmark operation.
 
-    python3 tools/cli_digest.py [--seeds 1 2] > digest.txt
+    python3 tools/cli_digest.py [--seeds 1 2] [--reverse] > digest.txt
 
 Runs each operation of bench/workloads.build(name, seed) in process through
 floqtools.cli.main, from the src/ tree next to this script, and then the
@@ -9,7 +9,10 @@ and options no workload runs, and runs that exit 2 or 3. Prints one line
 per operation: workload, seed, operation name, exit code, and the sha256 of
 stdout and of stderr. A refactor that keeps the output byte-identical gives
 the same lines at the parent commit and at the change, so `diff` of the two
-runs is empty.
+runs is empty. --reverse runs the same operations last to first and prints
+the lines in the forward order, so a result that depends on what an earlier
+operation left in process-wide state (such as a cache) shows as a `diff`
+against a forward run.
 """
 import argparse
 import contextlib
@@ -97,19 +100,21 @@ def digest(name, seed, kind, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    print(name, seed, kind, code, sha(out.getvalue()), sha(err.getvalue()))
+    return " ".join(map(str, (name, seed, kind, code, sha(out.getvalue()), sha(err.getvalue()))))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--reverse", action="store_true",
+                        help="run the operations last to first; the lines keep their order")
     args = parser.parse_args(argv)
-    for seed in args.seeds:
-        for name in workloads.WORKLOADS:
-            for op in workloads.build(name, seed).ops:
-                digest(name, seed, op.kind, op.argv)
-    for kind, extra_argv in EXTRA:
-        digest("extra", 0, kind, extra_argv)
+    ops = [(name, seed, op.kind, op.argv) for seed in args.seeds
+           for name in workloads.WORKLOADS for op in workloads.build(name, seed).ops]
+    ops += [("extra", 0, kind, extra_argv) for kind, extra_argv in EXTRA]
+    step = -1 if args.reverse else 1
+    lines = [digest(*op) for op in ops[::step]]
+    print("\n".join(lines[::step]))
 
 
 if __name__ == "__main__":
