@@ -37,10 +37,20 @@ def resolve_steps(n_steps):
 
 
 def reduce_to_zone(values, omega):
-    """Map values into (-omega/2, omega/2] by subtracting multiples of omega."""
+    """Map values into (-omega/2, omega/2] by subtracting multiples of omega.
+
+    Rounding in x - omega ceil(x / omega - 1/2) can land a value just past
+    either edge of the zone; one more fold, exact there, takes it back.
+    """
     x = np.asarray(values, dtype=float)
     out = x - omega * np.ceil(x / omega - 0.5)
-    return out if x.ndim else float(out)
+    half = 0.5 * omega
+    if not x.ndim:
+        out, omega = float(out), float(omega)
+        return out - omega if out > half else out + omega if out <= -half else out
+    out[out > half] -= omega
+    out[out <= -half] += omega
+    return out
 
 
 def is_finite_number(value):
@@ -161,19 +171,19 @@ def oscillator_blocks(betas, dts):
 
     betas == 0 degenerates to the free-motion shear [[1, dt], [0, 1]].
     Every block has unit determinant, so products stay area preserving.
+    The entries are written in place into one C-contiguous betas.shape +
+    (2, 2) array; dts broadcasts to the shape of betas.
     """
     betas = np.asarray(betas, dtype=float)
     dts = np.asarray(dts, dtype=float)
     phi = betas * dts
-    c = np.cos(phi)
     s = np.sin(phi)
-    upper = np.divide(s, betas, out=np.array(np.broadcast_to(dts, betas.shape)),
-                      where=betas != 0.0)
     blocks = np.empty(betas.shape + (2, 2))
-    blocks[..., 0, 0] = c
-    blocks[..., 0, 1] = upper
-    blocks[..., 1, 0] = -betas * s
-    blocks[..., 1, 1] = c
+    np.cos(phi, out=blocks[..., 0, 0])
+    blocks[..., 1, 1] = blocks[..., 0, 0]
+    blocks[..., 0, 1] = dts
+    np.divide(s, betas, out=blocks[..., 0, 1], where=betas != 0.0)
+    np.multiply(-betas, s, out=blocks[..., 1, 0])
     return blocks
 
 

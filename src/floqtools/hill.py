@@ -88,23 +88,28 @@ def floquet_result(m, t_period, n_max=64):
     """
     n_max = count(n_max, "n_max", 0)
     m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"monodromy must be a 2x2 matrix, got shape {m.shape}")
     if not all(map(math.isfinite, m.flat)):
         raise ValueError("monodromy must be finite")
     if not 0 < t_period < math.inf:
         raise ValueError("period must be positive and finite")
-    tr = float(np.trace(m))
+    # np.trace's sum, which starts from 0.0 (so a -0.0 diagonal gives 0.0), on
+    # NumPy scalars, so that an overflow still raises under raise_on_overflow.
+    tr = float(0.0 + m[0, 0] + m[1, 1])
     stability = classify_trace(tr)
     omega_f = None
     loop_order = None
     if stability != HYPERBOLIC:
         omega_f = floquet_angle(tr) / t_period
-        eye = np.eye(2)
-        power = eye
-        for n in range(1, n_max + 1):
-            power = m @ power
-            if float(np.abs(power - eye).max()) < _LOOP_TOL:
-                loop_order = n
-                break
+        if n_max:
+            eye = np.eye(2)
+            power = eye
+            for n in range(1, n_max + 1):
+                power = m @ power
+                if float(np.abs(power - eye).max()) < _LOOP_TOL:
+                    loop_order = n
+                    break
     return FloquetResult(stability, tr, omega_f, loop_order)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -129,11 +129,25 @@ def with_amplitude(profile, beta0):
     For constant/sin/offset_sin the beta0 field is replaced; for steps the
     listed beta values are treated as a unit-amplitude pulse shape and are
     scaled by beta0.
+
+    The result is dataclasses.replace's, but only the new amplitude is
+    checked: every other field is the profile's own, checked when it was
+    built, and so is the period, which the kind derives from them.
     """
     if profile.kind == "steps":
         scaled = tuple((finite_product(beta0, beta), tau) for beta, tau in profile.steps)
-        return replace(profile, steps=scaled)
-    return replace(profile, beta0=float(beta0))
+        for i, (beta, _) in enumerate(scaled):
+            if not math.isfinite(beta):
+                raise ProfileError(f"field 'steps'[{i}] must contain finite numbers")
+        return _rebuilt(profile, steps=scaled)
+    return _rebuilt(profile, beta0=_finite(float(beta0), "beta0"))
+
+
+def _rebuilt(profile, **checked):
+    """A copy of the profile with the checked fields replaced, built without __post_init__."""
+    new = object.__new__(type(profile))
+    vars(new).update(vars(profile), **checked)
+    return new
 
 
 def sample_segments(profile, times, substeps=1):

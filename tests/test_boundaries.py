@@ -77,6 +77,8 @@ HILL_SITES = [
     pytest.param("period", lambda: floquet_result(np.eye(2), math.nan), id="floquet_result-nan"),
     pytest.param("monodromy", lambda: floquet_result(np.full((2, 2), math.nan), 1.0),
                  id="floquet_result-matrix"),
+    pytest.param("monodromy must be a 2x2", lambda: floquet_result(np.diag([3.0, 0.5, 0.1]), 1.0),
+                 id="floquet_result-shape"),
     pytest.param("omega_F", lambda: oscillator_quasienergies(math.nan, 2.0, 3),
                  id="oscillator_quasienergies-nan"),
     pytest.param("omega_F", lambda: oscillator_quasienergies(math.inf, 2.0, 3),

@@ -76,9 +76,16 @@ def test_monodromy_overflow_raises_without_warning(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_oscillator_blocks_divide_only_where_beta_is_nonzero():
-    betas = np.array([0.0, -0.0, 1.3, -2.7, 5e-324, 1e-300, -1e150, 1e150, 3e100, 0.0])
-    dts = np.array([0.25, 0.5, 0.1, 0.3, 0.5, 0.7, 0.2, 1e-140, 2.0, 4.0])
+BLOCK_BETAS = np.array([0.0, -0.0, 1.3, -2.7, 5e-324, 1e-300, -1e150, 1e150, 3e100, 0.0])
+BLOCK_DTS = np.array([0.25, 0.5, 0.1, 0.3, 0.5, 0.7, 0.2, 1e-140, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("betas, dts", [
+    pytest.param(BLOCK_BETAS, BLOCK_DTS, id="arrays"),
+    pytest.param(BLOCK_BETAS, 0.3, id="scalar-dt"),
+    *[pytest.param(np.array(beta), 0.5, id=f"0d-beta-{beta}") for beta in (0.0, -0.0, 1.3)],
+])
+def test_oscillator_blocks_divide_only_where_beta_is_nonzero(betas, dts):
     # The blocks as built with two np.where calls and a divisor of 1 at beta = 0.
     s = np.sin(betas * dts)
     upper = np.where(betas == 0.0, dts, s / np.where(betas == 0.0, 1.0, betas))
@@ -87,9 +94,12 @@ def test_oscillator_blocks_divide_only_where_beta_is_nonzero():
     with warnings.catch_warnings(), raise_on_overflow("the blocks overflow"):
         warnings.simplefilter("error")
         blocks = oscillator_blocks(betas, dts)
+    assert blocks.shape == np.shape(betas) + (2, 2) and blocks.flags.c_contiguous
     assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
-    for k in np.flatnonzero(betas == 0.0):
-        assert np.array_equal(blocks[k], [[1.0, dts[k]], [0.0, 1.0]])
+    dts = np.broadcast_to(dts, np.shape(betas))
+    for k in np.ndindex(np.shape(betas)):
+        if betas[k] == 0.0:
+            assert np.array_equal(blocks[k], [[1.0, dts[k]], [0.0, 1.0]])
 
 
 def test_sinusoid_against_many_constant_steps():
@@ -139,6 +149,13 @@ def test_hyperbolic_matrix_has_no_frequency_or_loop():
     assert res.stability == "hyperbolic"
     assert res.omega_F is None
     assert res.loop_order is None
+
+
+def test_floquet_result_trace_overflow_raises_without_a_warning():
+    with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="not finite"):
+        warnings.simplefilter("error")
+        with raise_on_overflow("the trace overflows"):
+            floquet_result([[1e308, 0.0], [0.0, 1e308]], 1.0)
 
 
 def test_loop_deviation_accepts_a_nested_list():

@@ -1,5 +1,5 @@
-"""Property tests of the library constructors, the profile JSON schema, step_evolve and
-the Hill monodromy."""
+"""Property tests of the library constructors, the profile JSON schema, with_amplitude,
+step_evolve, the Hill monodromy, floquet_result and reduce_to_zone."""
 import json
 import math
 from dataclasses import replace
@@ -11,16 +11,20 @@ from hypothesis import given, settings, strategies as st
 from floqtools import (
     DriveProfile,
     PhysicalParams,
+    ProfileError,
     SpinParams,
     StepPattern,
     TrapField,
+    floquet_result,
     monodromy,
     profile_from_json,
     profile_to_json,
+    reduce_to_zone,
     step_evolve,
     with_amplitude,
 )
-from floqtools._linops import chain_matmul, oscillator_blocks
+from floqtools._linops import chain_matmul, finite_product, oscillator_blocks
+from floqtools.hill import HYPERBOLIC, classify_trace, floquet_angle
 from floqtools.profiles import sample_segments
 
 TWO_PI = 2.0 * math.pi
@@ -57,6 +61,52 @@ def test_profile_json_round_trip(kind, data):
 @given(profile=st.one_of(PROFILES["sin"], PROFILES["offset_sin"]), omega=positive)
 def test_sinusoidal_period_follows_omega_through_replace(profile, omega):
     assert replace(profile, omega=omega).period == TWO_PI / omega
+
+
+# Finite amplitudes, -0.0, integers and values whose steps products overflow
+# among them, and the non-finite ones.
+amplitudes = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10 ** 6, 10 ** 6),
+                       st.sampled_from([-0.0, 0, 10 ** 300, 1e308, -1e308]),
+                       non_finite)
+
+
+def _replaced(profile, beta0):
+    """with_amplitude through dataclasses.replace, which reruns every field check."""
+    if profile.kind == "steps":
+        return replace(profile, steps=tuple((finite_product(beta0, beta), tau)
+                                            for beta, tau in profile.steps))
+    return replace(profile, beta0=float(beta0))
+
+
+def _outcome(build, profile, beta0):
+    """The profile's type, repr (field values and float types) and period bits, or the error."""
+    try:
+        got = build(profile, beta0)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    return type(got), repr(got), got.period.hex(), hash(got)
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+@PROPERTY
+@given(data=st.data(), beta0=amplitudes)
+def test_with_amplitude_is_the_replace_route(kind, data, beta0):
+    profile = data.draw(PROFILES[kind])
+    got = _outcome(with_amplitude, profile, beta0)
+    assert got == _outcome(_replaced, profile, beta0)
+    if not math.isfinite(beta0):
+        assert got[0] is ProfileError
+
+
+@pytest.mark.parametrize("beta0, error, match", [
+    pytest.param(1e308, FloatingPointError, "a drive amplitude overflows", id="overflow"),
+    pytest.param(math.nan, ProfileError, r"field 'steps'\[0\] must contain finite numbers",
+                 id="nan"),
+])
+def test_with_amplitude_rejects_a_steps_amplitude(beta0, error, match):
+    with pytest.raises(error, match=match):
+        with_amplitude(DriveProfile.from_steps(((2.0, 0.5), (0.0, 0.5))), beta0)
 
 
 # Each constructor with keyword arguments that are valid for any value drawn
@@ -149,3 +199,45 @@ def test_monodromy_is_the_product_of_its_sampled_blocks(profile, scale, n):
         dts, betas, _ = sample_segments(drive, [0.0, drive.period], n)
         want = chain_matmul(oscillator_blocks(betas, dts))
         assert np.array_equal(monodromy(drive, n).view(np.uint64), want.view(np.uint64))
+
+
+# 2x2 matrices with entries of either sign, ±0 on the diagonal among them.
+entry = st.floats(-3.0, 3.0)
+MATRICES = st.tuples(st.one_of(entry, st.sampled_from([0.0, -0.0])), entry, entry,
+                     st.one_of(entry, st.sampled_from([0.0, -0.0]))).map(
+    lambda v: np.reshape(v, (2, 2)))
+
+
+@pytest.mark.parametrize("n_max", [0, 64])
+@PROPERTY
+@given(m=MATRICES, t_period=positive)
+def test_floquet_result_takes_the_trace_of_np_trace(n_max, m, t_period):
+    tr = float(np.trace(m))
+    stability = classify_trace(tr)
+    omega_f = None if stability == HYPERBOLIC else floquet_angle(tr) / t_period
+    res = floquet_result(m, t_period, n_max)
+    assert (res.trace.hex(), res.stability) == (tr.hex(), stability)
+    assert res.omega_F == omega_f and (omega_f is None or res.omega_F.hex() == omega_f.hex())
+    if n_max == 0:
+        assert res.loop_order is None
+
+
+def _near(x, ulps):
+    """The float |ulps| steps from x, up for ulps > 0 and down for ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@PROPERTY
+@given(omega=positive, k=st.integers(-999, 999), x=finite)
+def test_reduce_to_zone_lands_in_the_zone_and_is_idempotent(omega, k, x):
+    # Inputs at and next to the zone edges (k + 1/2) omega, where rounding
+    # in x - omega ceil(x / omega - 1/2) can overshoot, and one anywhere.
+    edge = (k + 0.5) * omega
+    values = [_near(edge, ulps) for ulps in range(-3, 4)] + [x]
+    array = reduce_to_zone(np.array(values), omega)
+    for value, zoned in zip(values, array.tolist()):
+        assert reduce_to_zone(value, omega) == zoned
+        assert -0.5 * omega < zoned <= 0.5 * omega
+        assert reduce_to_zone(zoned, omega) == zoned

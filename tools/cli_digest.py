@@ -54,7 +54,9 @@ def step_floquet(hamiltonian, duration):
 # (4097 and 3 sin steps, three drive steps) carry an odd last block through
 # chain_matmul; the runs after them reach the input checks of the profile and
 # pattern loaders, the overflow guards of step-floquet, and the spin-spectrum
-# options that do not apply to a sweep or to a single point.
+# options that do not apply to a sweep or to a single point. The last four are
+# amplitude sweeps: a steps one and a stability-scan whose amplitudes overflow
+# (exit 3), a sin one to 1e300, and a constant one from -0.0 to 0.0.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -89,6 +91,14 @@ EXTRA = [
     ("spin-spectrum/sweep-with-B", ["spin-spectrum", "--mu", "1", "--B", "5", "--omega", "1",
                                     "--points", "2", "--ratio-max", "1"]),
     ("spin-spectrum/point-with-ratio-max", SPIN_POINT + ["--ratio-max", "1"]),
+    ("osc-spectrum/steps-amplitude-overflow",
+     osc_spectrum('{"kind": "steps", "steps": [[2.0, 0.5], [0.0, 0.5]]}')
+     + ["--beta0-max", "1e308"]),
+    ("stability-scan/amplitude-overflow", ["stability-scan", "--omega", "1e300",
+                                           "--alpha-max", "1e10"]),
+    ("osc-spectrum/sin-huge-amplitude", osc_spectrum(SIN) + ["--beta0-max", "1e300"]),
+    ("osc-spectrum/constant-signed-zeros", osc_spectrum('{"kind": "constant", "beta0": 1.0}')
+     + ["--beta0-min", "-0.0", "--beta0-max", "0.0"]),
 ]
 
 
