@@ -264,16 +264,14 @@ def _cmd_step_floquet(args):
 def _cmd_fields_probe(args):
     trap = fields.TrapField(args.amplitude, args.omega, args.light_speed)
     x = np.asarray(args.x, dtype=float)
-    if args.mode == "rotating":
-        vector_potential, nodal_field = (fields.vector_potential_rotating,
-                                         fields.rotating_nodal_field)
-    else:
-        vector_potential, nodal_field = (fields.vector_potential_standing,
-                                         fields.standing_nodal_field)
-    potential = vector_potential(trap, x, args.t)
-    limit = nodal_field(trap, args.t)
-    fd = fields.magnetic_field_fd(lambda xx, tt: vector_potential(trap, xx, tt),
-                                  x, args.t, args.h)
+    vector_potential, nodal_field = {
+        "rotating": (fields.vector_potential_rotating, fields.rotating_nodal_field),
+        "standing": (fields.vector_potential_standing, fields.standing_nodal_field)}[args.mode]
+    with raise_on_overflow("the trap field overflows"):
+        potential = vector_potential(trap, x, args.t)
+        limit = nodal_field(trap, args.t)
+        fd = fields.magnetic_field_fd(functools.partial(vector_potential, trap),
+                                      x, args.t, args.h)
     return {
         "mode": args.mode,
         "x": list(map(float, x)),

@@ -3,7 +3,8 @@
 Near a common nodal point the trap potentials reduce to the uniform-field
 form B(t) x r / 2, so a particle kept close to the nodal set sees the clean
 homogeneous field of the solenoid model; the deviation grows quadratically
-with the distance measured in wavelengths.
+with the distance measured in wavelengths. The potentials take one point x
+or an (n, 3) array of points, one per row.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linops import count, require_finite
+from ._linops import count, raise_on_overflow, require_finite
 
 _AXIS_TOL = 1e-12
 
@@ -33,23 +34,29 @@ class TrapField:
         for name in ("omega", "light_speed"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        axes = []
+        if not math.isfinite(float(self.omega) / float(self.light_speed)):
+            raise ValueError("omega and light_speed must give a finite wavenumber omega / "
+                             f"light_speed, got {self.omega} / {self.light_speed}")
         for name in ("axis_m", "axis_n", "axis_s"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             if not abs(np.linalg.norm(v) - 1.0) <= _AXIS_TOL:  # NaN fails too
                 raise ValueError(f"{name} must be a unit vector")
-            axes.append(v)
             object.__setattr__(self, name, v)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not abs(float(axes[i] @ axes[j])) <= _AXIS_TOL:
-                    raise ValueError("trap axes must be pairwise orthogonal")
+        axes = np.array([self.axis_m, self.axis_n, self.axis_s])
+        if not np.abs(np.triu(axes @ axes.T, 1)).max() <= _AXIS_TOL:
+            raise ValueError("trap axes must be pairwise orthogonal")
 
     @property
     def wavenumber(self):
         return self.omega / self.light_speed
+
+
+def _crossed(a, b, k, x):
+    """a sin(k b.x) - b sin(k a.x) at a point x, or at each row of an (n, 3) array."""
+    x = np.asarray(x, dtype=float)
+    return np.multiply.outer(np.sin(k * (x @ b)), a) - np.multiply.outer(np.sin(k * (x @ a)), b)
 
 
 def vector_potential_standing(trap, x, t):
@@ -58,11 +65,8 @@ def vector_potential_standing(trap, x, t):
     Vanishes on the nodal line m.x = n.x = 0 and is antisymmetric under
     swapping the m and n axes.
     """
-    x = np.asarray(x, dtype=float)
-    k = trap.wavenumber
-    bracket = (trap.axis_m * math.sin(k * float(trap.axis_n @ x))
-               - trap.axis_n * math.sin(k * float(trap.axis_m @ x)))
-    return 0.5 * trap.amplitude * math.sin(trap.omega * t) * bracket
+    bracket = _crossed(trap.axis_m, trap.axis_n, trap.wavenumber, x)
+    return 0.5 * trap.amplitude * np.sin(trap.omega * t) * bracket
 
 
 def vector_potential_rotating(trap, x, t):
@@ -72,55 +76,43 @@ def vector_potential_rotating(trap, x, t):
     approaches B(t) x r / 2 with the rotating field B(t) of
     rotating_nodal_field, with relative error of order (k r)^2.
     """
-    x = np.asarray(x, dtype=float)
-    k = trap.wavenumber
-    cos_bracket = (trap.axis_s * math.sin(k * float(trap.axis_n @ x))
-                   - trap.axis_n * math.sin(k * float(trap.axis_s @ x)))
-    sin_bracket = (trap.axis_n * math.sin(k * float(trap.axis_m @ x))
-                   - trap.axis_m * math.sin(k * float(trap.axis_n @ x)))
-    return 0.5 * trap.amplitude * (math.cos(trap.omega * t) * cos_bracket
-                                   + math.sin(trap.omega * t) * sin_bracket)
+    k, wt = trap.wavenumber, trap.omega * t
+    return 0.5 * trap.amplitude * (np.cos(wt) * _crossed(trap.axis_s, trap.axis_n, k, x)
+                                   + np.sin(wt) * _crossed(trap.axis_n, trap.axis_m, k, x))
 
 
 def rotating_nodal_field(trap, t):
     """Field hosted at the nodal points: (A w / c) (m cos(wt) + s sin(wt))."""
     scale = trap.amplitude * trap.omega / trap.light_speed
-    return scale * (math.cos(trap.omega * t) * trap.axis_m
-                    + math.sin(trap.omega * t) * trap.axis_s)
+    return scale * (np.cos(trap.omega * t) * trap.axis_m
+                    + np.sin(trap.omega * t) * trap.axis_s)
 
 
 def standing_nodal_field(trap, t):
     """Pulsating field on the standing-wave nodal line: -(A w / c) s sin(wt)."""
     scale = trap.amplitude * trap.omega / trap.light_speed
-    return -scale * math.sin(trap.omega * t) * trap.axis_s
+    return -scale * np.sin(trap.omega * t) * trap.axis_s
 
 
 def uniform_field_potential(b, x):
-    """Symmetric-gauge potential B x r / 2 of a uniform field."""
+    """Symmetric-gauge potential B x r / 2 of a uniform field, at a point or each row."""
     return 0.5 * np.cross(np.asarray(b, dtype=float), np.asarray(x, dtype=float))
 
 
 def magnetic_field_fd(potential, x, t, h=1e-5):
     """Curl of a vector potential by central differences, error O(h^2).
 
-    potential is a callable (x, t) -> 3-vector.
+    potential is a callable (x, t) -> 3-vector, called once per offset.
     """
     if not h > 0:
         raise ValueError("finite-difference step h must be positive")
     x = np.asarray(x, dtype=float)
-    grad = np.empty((3, 3))
-    for j in range(3):
-        offset = np.zeros(3)
-        offset[j] = h
-        plus = np.asarray(potential(x + offset, t), dtype=float)
-        minus = np.asarray(potential(x - offset, t), dtype=float)
-        grad[j] = (plus - minus) / (2.0 * h)
+    # grad[j, k] = d_j A_k
+    grad = np.array([(np.asarray(potential(x + offset, t), dtype=float)
+                      - np.asarray(potential(x - offset, t), dtype=float)) / (2.0 * h)
+                     for offset in h * np.eye(3)])
     # curl_i = eps_ijk d_j A_k
-    return np.array([
-        grad[1, 2] - grad[2, 1],
-        grad[2, 0] - grad[0, 2],
-        grad[0, 1] - grad[1, 0],
-    ])
+    return (grad - grad.T)[[1, 2, 0], [2, 0, 1]]
 
 
 def _fibonacci_sphere(n):
@@ -137,23 +129,18 @@ def nodal_approx_error(trap, radius, t_grid, n_dirs=64):
     Maximum of |A(x, t) - B(t) x r / 2| over a sphere of the given radius and
     the time grid, normalized by the largest |B(t) x r / 2| over the same
     set. Scales as (k radius)^2. A radius or time that is not finite raises
-    ValueError.
+    ValueError, a field that overflows FloatingPointError.
     """
     require_finite(radius=radius)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    dirs = _fibonacci_sphere(count(n_dirs, "n_dirs", 1))
-    worst_dev = 0.0
-    worst_ref = 0.0
-    for t in t_grid:
-        require_finite(t_grid=t)
-        b = rotating_nodal_field(trap, t)
-        for direction in dirs:
-            x = radius * direction
-            ref = uniform_field_potential(b, x)
+    x = radius * _fibonacci_sphere(count(n_dirs, "n_dirs", 1))
+    worst_dev = worst_ref = 0.0
+    with raise_on_overflow("the trap field overflows"):
+        for t in t_grid:
+            require_finite(t_grid=t)
+            ref = uniform_field_potential(rotating_nodal_field(trap, t), x)
             dev = vector_potential_rotating(trap, x, t) - ref
-            worst_dev = max(worst_dev, float(np.linalg.norm(dev)))
-            worst_ref = max(worst_ref, float(np.linalg.norm(ref)))
-    if worst_ref == 0.0:
-        return 0.0
-    return worst_dev / worst_ref
+            worst_dev = max(worst_dev, float(np.linalg.norm(dev, axis=1).max()))
+            worst_ref = max(worst_ref, float(np.linalg.norm(ref, axis=1).max()))
+    return worst_dev / worst_ref if worst_ref else 0.0

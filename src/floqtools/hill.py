@@ -168,9 +168,15 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
 
 
 def loop_order_for_angle(target_angle, n_max=512):
-    """Smallest n with n * target_angle an integer multiple of 2 pi, if any."""
+    """Smallest n with n * target_angle an integer multiple of 2 pi, if any.
+
+    The angle is first reduced exactly into (-pi, pi] as atan2(sin a, cos a);
+    x - 2 pi ceil(x / 2 pi - 1/2) loses every digit once |x| passes 1e15.
+    """
+    require_finite(target_angle=target_angle)
+    angle = math.atan2(math.sin(target_angle), math.cos(target_angle))
     for n in range(1, count(n_max, "n_max", 0) + 1):
-        if abs(reduce_to_zone(n * target_angle, TWO_PI)) < 1e-9 * max(1.0, n):
+        if abs(reduce_to_zone(n * angle, TWO_PI)) < 1e-9 * max(1.0, n):
             return n
     return None
 

@@ -312,7 +312,8 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     ------
     FloatingPointError
         When a sampled H(t), a combination of two samples, or a step
-        exponent H dt overflows (or turns invalid) from finite inputs.
+        exponent H dt overflows (or turns invalid) from finite inputs, or
+        the rounding of some 5e5 steps or more drifts the product from unitary.
     """
     n_steps = resolve_steps(n_steps)
     require_finite(t_start=t_start, t_end=t_end)
@@ -342,7 +343,11 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     with raise_on_overflow("a step of H(t) dt overflows"):
         u = chain_matmul([chain_matmul(cf4_steps(lo, min(lo + _CHUNK, n_steps)))
                           for lo in range(0, n_steps, _CHUNK)])
-    return Unitary(u)
+    try:
+        return Unitary(u)
+    except ValueError:  # each step is unitary, so only rounding drift fails the check
+        raise FloatingPointError(f"the product of {n_steps} steps drifts from unitary "
+                                 f"(defect {unitarity_defect(u):.3e})") from None
 
 
 def _zone_energies(phases, t_period):

@@ -24,7 +24,7 @@ from floqtools import (
     polish_loop_beta1,
     rotating_frame_reduction,
 )
-from floqtools._linops import resolve_steps
+from floqtools._linops import chain_matmul, resolve_steps
 from floqtools.hill import loop_order_for_angle
 from floqtools.profiles import integration_segments, sample_segments
 
@@ -63,7 +63,8 @@ def test_count_rejects_non_integers_naming_the_parameter(name, call, value):
 
 
 # Each call passes one input that is NaN, infinite or out of range, named by
-# the first entry.
+# the first entry: the Hill stack first, then the checks it shares and the trap
+# fields.
 HILL_SITES = [
     pytest.param("t_end", lambda: classical_trajectory(SIN, (1.0, 0.0), math.nan, 4),
                  id="classical_trajectory-t_end"),
@@ -86,6 +87,21 @@ HILL_SITES = [
     *[pytest.param("^tol must be positive and finite", lambda tol=tol: planar_loop_check(
         SIN, 24, tol), id=f"planar_loop_check-tol-{tol}")
       for tol in (-1.0, 0.0, math.nan, math.inf, True)],
+    pytest.param("^target_angle must be finite", lambda: loop_order_for_angle(math.inf),
+                 id="loop_order_for_angle-inf"),
+    pytest.param("^field 'period' must be positive$", lambda: DriveProfile.constant(1.0, 0.0),
+                 id="DriveProfile-period"),
+    pytest.param("^expected a non-empty stack", lambda: chain_matmul(np.zeros((0, 2, 2))),
+                 id="chain_matmul-empty"),
+    pytest.param("^omega must be positive$", lambda: TrapField(1, 0, 1), id="TrapField-omega"),
+    pytest.param("^light_speed must be positive$", lambda: TrapField(1, 1, -1),
+                 id="TrapField-light_speed"),
+    pytest.param("^omega and light_speed must give a finite wavenumber",
+                 lambda: TrapField(1, 1e200, 1e-200), id="TrapField-wavenumber"),
+    pytest.param("^axis_n must be a 3-vector$", lambda: TrapField(1, 1, 1, axis_n=[0.0, 1.0]),
+                 id="TrapField-axis-shape"),
+    pytest.param("^radius must be non-negative$", lambda: nodal_approx_error(
+        TrapField(1.3, TWO_PI, 1.0), -1.0, [0.0]), id="nodal_approx_error-radius"),
 ]
 
 

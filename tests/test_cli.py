@@ -158,11 +158,13 @@ SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
     (("planar-loop", "--beta0", "0.78539", "--beta1", "0.94595",
       "--omega", "6.283185307179586", "--periods", "24", "--tol", "-1"),
      "error: tol must be positive and finite, got -1.0"),
+    (("osc-spectrum", "--profile", '{"kind": "constant", "beta0": 1.0, "period": 0}')
+     + SPECTRUM_GRID, "error: field 'period' must be positive"),
 ], ids=["unreadable-profile", "beta0-min-text", "pattern-without-steps", "step-not-object",
         "step-extra-key", "step-without-hamiltonian", "empty-hamiltonian", "ragged-hamiltonian",
         "spin-sweep-zero-mu", "spin-sweep-with-B", "spin-point-with-ratio-min",
         "spin-point-with-ratio-max", "negative-t-end", "profile-file-not-object",
-        "constant-negative-omega", "negative-tol"])
+        "constant-negative-omega", "negative-tol", "constant-zero-period"])
 def test_configuration_error_exits_2_naming_the_field(argv, message, tmp_path, capsys):
     files = {"MISSING_FILE": str(tmp_path / "missing.json"),
              "ARRAY_FILE": str(tmp_path / "array.json")}
@@ -259,6 +261,20 @@ def test_array_and_row_tables_reject_the_same_first_non_finite_cell(value):
     assert messages == [f"result is not finite: {value}"] * 2
 
 
+def test_json_report_rejects_a_non_finite_value():
+    with pytest.raises(FloatingPointError, match="^result is not finite$"):
+        cli._render({"x": math.inf})
+
+
+def test_run_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["floqtools", "osc-spectrum", "--profile",
+                                      '{"kind": "sin", "beta0": 1.0}', *SPECTRUM_GRID])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("profile", [
     SIN_PROFILE,
     '{"kind": "steps", "steps": [[1.7, 0.3], [-0.4, 0.45], [0.9, 0.25]]}',
@@ -323,6 +339,9 @@ def test_spin_spectrum_zero_omega_exits_2_naming_it(capsys):
      "result is not finite"),
     (("--mu", "1e200", "--B", "1e107", "--omega", "1e-3", "--steps", "64"), 3,
      "result is not finite"),
+    # Every step is unitary, but the rounding of 2^19 of them is not.
+    (("--mu", "1", "--B", "1000", "--omega", "1", "--steps", "524288"), 3,
+     "the product of 524288 steps drifts from unitary (defect "),
     # The automatic step rule would ask for 2.5e11 steps (1.85 TiB).
     (("--mu", "1", "--B", "1e9", "--omega", "1e-3"), 2,
      "mu B / omega = 1e+12 needs 253988980741 steps per period"),
@@ -575,6 +594,34 @@ def test_fields_probe_standing_mode(tmp_path):
     report = json.loads(out.read_text())
     assert report["magnetic_field_fd"] == pytest.approx(
         report["magnetic_field_nodal"], abs=1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, message", [
+    (("--amplitude", "1", "--omega", "1e200", "--light-speed", "1e-200", "--x", "1", "0", "0"),
+     2, "omega and light_speed must give a finite wavenumber omega / light_speed, "
+        "got 1e+200 / 1e-200"),
+    (("--amplitude", "1", "--omega", "1", "--x", "1e308", "1e308", "0", "--h", "1e308"), 3,
+     "result is not finite: the trap field overflows"),
+    (("--amplitude", "1e308", "--omega", "1e10", "--x", "0.1", "0.2", "0.3", "--t", "0.3"), 3,
+     "result is not finite: the trap field overflows"),
+    (("--amplitude", "1", "--omega", "1e10", "--x", "0.1", "0.2", "0.3", "--t", "1e300"), 3,
+     "result is not finite: the trap field overflows"),
+    (("--amplitude", "1", "--omega", "1e10", "--x", "0.1", "0.2", "0.3", "--t", "1e300",
+      "--mode", "standing"), 3, "result is not finite: the trap field overflows"),
+], ids=["wavenumber", "fd-offset", "amplitude", "phase", "phase-standing"])
+def test_fields_probe_overflow_fails_cleanly(argv, code, message, capsys):
+    assert run_cli("fields-probe", *argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_osc_loop_find_reports_no_loop_for_a_huge_angle(capsys):
+    # cos(1e20) = 0.764: the reached angle closes no loop.
+    assert run_cli("osc-loop-find", "--profile", SIN_PROFILE, "--angle", "1e20",
+                   "--bracket", "0.5", "3.0") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["loop_order"] is None
+    assert "loop_deviation" not in report
 
 
 def test_planar_loop_polish_does_not_settle_on_a_stability_boundary(capsys):

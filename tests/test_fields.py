@@ -169,3 +169,37 @@ def test_nodal_error_scales_quadratically(trap):
     small = nodal_approx_error(trap, 1e-3 * wavelength_scale, t_grid)
     large = nodal_approx_error(trap, 4e-3 * wavelength_scale, t_grid)
     assert 10.0 < large / small < 22.0
+
+
+def test_nodal_error_of_zero_radius_is_zero(trap):
+    assert nodal_approx_error(trap, 0.0, [0.0, 0.4]) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_nodal_error_overflow_raises_without_a_warning():
+    # The ratio does not depend on the amplitude, but the squared norms overflow.
+    with pytest.raises(FloatingPointError, match="^result is not finite: the trap field"):
+        nodal_approx_error(TrapField(1e300, TWO_PI, 1.0), 0.1, [0.0, 0.3])
+
+
+# ---------- array route ----------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_potentials_on_rows_match_the_point_values(seed):
+    # A point's dot products (ddot) and the rows' (gemv) may round apart in
+    # the last bit, which moves each term of the bracket by an ulp of its
+    # size A k |x|; the bracket's difference can cancel to a smaller entry.
+    rng = np.random.default_rng(seed)
+    axes, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    trap = TrapField(rng.uniform(0.5, 2.0), rng.uniform(0.5, 10.0), rng.uniform(0.5, 2.0),
+                     axis_m=axes[0], axis_n=axes[1], axis_s=axes[2])
+    points = rng.standard_normal((64, 3)) * 10.0 ** rng.uniform(-4, 1, (64, 1))
+    for potential in (vector_potential_rotating, vector_potential_standing):
+        for t in rng.uniform(-3.0, 3.0, 3):
+            rows = potential(trap, points, t)
+            single = np.array([potential(trap, x, t) for x in points])
+            assert rows.shape == (64, 3)
+            terms = trap.amplitude * trap.wavenumber * np.linalg.norm(points, axis=1)
+            ulp = np.spacing(np.maximum(np.abs(single).max(axis=1), terms))
+            assert np.all(np.abs(rows - single).max(axis=1) <= 4 * ulp)

@@ -23,6 +23,7 @@ from floqtools import (
     sinusoid_family,
 )
 from floqtools._linops import oscillator_blocks, raise_on_overflow, rotation2
+from floqtools.hill import loop_order_for_angle
 from stepping_oracle import TRAJECTORY_CASES, interval_samples
 
 TWO_PI = 2.0 * math.pi
@@ -160,6 +161,16 @@ def test_floquet_result_trace_overflow_raises_without_a_warning():
 
 def test_loop_deviation_accepts_a_nested_list():
     assert loop_deviation([[0, 1], [-1, 0]], 4) == 0.0
+
+
+@pytest.mark.parametrize("angle, order", [
+    (math.pi / 2, 4), (-2.0 * math.pi / 5, 5), (4.0 * math.pi / 3, 3), (0.0, 1), (1.0, None),
+    # cos(1e16) = -0.626, cos(1e20) = 0.764, cos(2^60 2 pi) = 0.936: exact
+    # reduction, not x - 2 pi ceil(x / 2 pi - 1/2), decides these.
+    (1e16, None), (1e20, None), (1e300, None), (2.0 ** 60 * TWO_PI, None),
+])
+def test_loop_order_for_angle_reads_the_exactly_reduced_angle(angle, order):
+    assert loop_order_for_angle(angle) == order
 
 
 def test_reported_loops_are_sound():

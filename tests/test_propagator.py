@@ -70,6 +70,10 @@ NAN_MATRIX = np.array([[math.nan, 0.0], [0.0, 1.0]])
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: Unitary(np.full((2, 2), math.nan)), "unitary", id="Unitary"),
     pytest.param(lambda: as_hermitian(NAN_MATRIX), "Hermitian", id="as_hermitian"),
+    pytest.param(lambda: Unitary(np.zeros((2, 3))), r"square matrix, got shape \(2, 3\)",
+                 id="Unitary-shape"),
+    pytest.param(lambda: as_hermitian(np.zeros((2, 3))), r"square matrix, got shape \(2, 3\)",
+                 id="as_hermitian-shape"),
     pytest.param(lambda: StepPattern(((NAN_MATRIX, 1.0),)), "Hermitian", id="StepPattern"),
     pytest.param(lambda: expm_hermitian(NAN_MATRIX, 1.0), "Hermitian", id="expm_hermitian"),
     pytest.param(lambda: step_propagator([(NAN_MATRIX, 1.0)]), "Hermitian",

@@ -35,6 +35,8 @@ ONE_STEP = ('{"steps": [{"hamiltonian": [[0.5, [0.3, -0.2]], [[0.3, 0.2], -0.25]
 FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179586",
                 "--x", "0.01", "-0.02", "0.03", "--t", "0.1"]
 
+PHASE_OVERFLOW = ["fields-probe", "--amplitude", "1", "--omega", "1e10",
+                  "--x", "0.1", "0.2", "0.3", "--t", "1e300"]
 SPIN_POINT = ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]
 HUGE = "1" + "0" * 5000  # a number of more digits than int() converts from text
 
@@ -54,9 +56,12 @@ def step_floquet(hamiltonian, duration):
 # (4097 and 3 sin steps, three drive steps) carry an odd last block through
 # chain_matmul; the runs after them reach the input checks of the profile and
 # pattern loaders, the overflow guards of step-floquet, and the spin-spectrum
-# options that do not apply to a sweep or to a single point. The last four are
+# options that do not apply to a sweep or to a single point. Then four
 # amplitude sweeps: a steps one and a stability-scan whose amplitudes overflow
-# (exit 3), a sin one to 1e300, and a constant one from -0.0 to 0.0.
+# (exit 3), a sin one to 1e300, and a constant one from -0.0 to 0.0. The last
+# seven are fields-probe runs whose wavenumber, offsets, amplitude or phase
+# overflow, a loop search at an angle too large for a naive reduction, and a
+# spin product of 2^19 steps whose rounding drifts past the unitarity check.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -99,6 +104,18 @@ EXTRA = [
     ("osc-spectrum/sin-huge-amplitude", osc_spectrum(SIN) + ["--beta0-max", "1e300"]),
     ("osc-spectrum/constant-signed-zeros", osc_spectrum('{"kind": "constant", "beta0": 1.0}')
      + ["--beta0-min", "-0.0", "--beta0-max", "0.0"]),
+    ("fields-probe/wavenumber-overflow", ["fields-probe", "--amplitude", "1", "--omega", "1e200",
+                                          "--light-speed", "1e-200", "--x", "1", "0", "0"]),
+    ("fields-probe/offset-overflow", ["fields-probe", "--amplitude", "1", "--omega", "1",
+                                      "--x", "1e308", "1e308", "0", "--h", "1e308"]),
+    ("fields-probe/amplitude-overflow", ["fields-probe", "--amplitude", "1e308", "--omega", "1e10",
+                                         "--x", "0.1", "0.2", "0.3", "--t", "0.3"]),
+    ("fields-probe/phase-overflow", PHASE_OVERFLOW),
+    ("fields-probe/standing-phase-overflow", PHASE_OVERFLOW + ["--mode", "standing"]),
+    ("osc-loop-find/huge-angle", ["osc-loop-find", "--profile", SIN, "--angle", "1e20",
+                                  "--bracket", "0.5", "3.0"]),
+    ("spin-spectrum/drift", ["spin-spectrum", "--mu", "1", "--B", "1000", "--omega", "1",
+                             "--steps", "524288"]),
 ]
 
 
