@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import fields, hill, planar_charge, spin_resonance
-from ._linops import TWO_PI, is_finite_number, raise_on_overflow
+from ._linops import TWO_PI, default_steps, is_finite_number, raise_on_overflow
 from .profiles import (
     DriveProfile,
     ProfileError,
@@ -283,7 +283,8 @@ def _cmd_fields_probe(args):
     }
 
 
-def _add_steps(parser, default="4096"):
+def _add_steps(parser, default=None):
+    default = default_steps() if default is None else default
     parser.add_argument("--steps", type=int, default=None,
                         help=f"integrator steps per period (default: {default})")
 

@@ -83,14 +83,14 @@ def vector_potential_rotating(trap, x, t):
 
 def rotating_nodal_field(trap, t):
     """Field hosted at the nodal points: (A w / c) (m cos(wt) + s sin(wt))."""
-    scale = trap.amplitude * trap.omega / trap.light_speed
+    scale = np.multiply(trap.amplitude, trap.omega) / trap.light_speed
     return scale * (np.cos(trap.omega * t) * trap.axis_m
                     + np.sin(trap.omega * t) * trap.axis_s)
 
 
 def standing_nodal_field(trap, t):
     """Pulsating field on the standing-wave nodal line: -(A w / c) s sin(wt)."""
-    scale = trap.amplitude * trap.omega / trap.light_speed
+    scale = np.multiply(trap.amplitude, trap.omega) / trap.light_speed
     return -scale * np.sin(trap.omega * t) * trap.axis_s
 
 
@@ -141,6 +141,6 @@ def nodal_approx_error(trap, radius, t_grid, n_dirs=64):
             require_finite(t_grid=t)
             ref = uniform_field_potential(rotating_nodal_field(trap, t), x)
             dev = vector_potential_rotating(trap, x, t) - ref
-            worst_dev = max(worst_dev, float(np.linalg.norm(dev, axis=1).max()))
-            worst_ref = max(worst_ref, float(np.linalg.norm(ref, axis=1).max()))
+            worst_dev = max(worst_dev, float(np.hypot.reduce(dev, axis=1).max()))
+            worst_ref = max(worst_ref, float(np.hypot.reduce(ref, axis=1).max()))
     return worst_dev / worst_ref if worst_ref else 0.0

@@ -103,13 +103,8 @@ def floquet_result(m, t_period, n_max=64):
     if stability != HYPERBOLIC:
         omega_f = floquet_angle(tr) / t_period
         if n_max:
-            eye = np.eye(2)
-            power = eye
-            for n in range(1, n_max + 1):
-                power = m @ power
-                if float(np.abs(power - eye).max()) < _LOOP_TOL:
-                    loop_order = n
-                    break
+            loop_order = next((n for n in range(1, n_max + 1)
+                               if loop_deviation(m, n) < _LOOP_TOL), None)
     return FloquetResult(stability, tr, omega_f, loop_order)
 
 

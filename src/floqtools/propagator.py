@@ -40,17 +40,19 @@ def _require_hermitian(defect, m):
 
     defect holds |half - half^dag| of m, entry by entry or already reduced to
     its largest value per matrix. Each matrix may deviate by 1e-12 times the
-    larger of 1 and its own largest entry. The comparisons are written so
-    that a NaN fails them, and an infinite defect fails even where an
-    infinite entry makes the scale infinite.
+    larger of 1 and its own largest entry; the message names the largest
+    defect of a failing matrix. The comparisons are written so that a NaN
+    fails them, and an infinite defect fails even where an infinite entry
+    makes the scale infinite.
     """
     # Every scale is at least 1, so a defect within the bare tolerance passes
     # without the per-matrix maxima.
     if not defect.max() <= 0.5 * _HERMITIAN_TOL:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         worst = defect.reshape(scale.shape + (-1,)).max(axis=-1)
-        if not ((worst <= 0.5 * _HERMITIAN_TOL * scale) & (worst < math.inf)).all():
-            raise ValueError(f"matrix is not Hermitian (defect {2 * float(defect.max()):.3e})")
+        failing = worst[~((worst <= 0.5 * _HERMITIAN_TOL * scale) & (worst < math.inf))]
+        if failing.size:
+            raise ValueError(f"matrix is not Hermitian (defect {2 * float(failing.max()):.3e})")
 
 
 def _hermitian(m):
@@ -90,12 +92,16 @@ def _hermitian2(m):
     return h00.real + h00.real, h11.real + h11.real, h10 + h01.conj()
 
 
+def _square(m, ndim=2):
+    """m if it is one square matrix, or (ndim 3) a stack; the error names one matrix's shape."""
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape[ndim - 2:]}")
+    return m
+
+
 def as_hermitian(h):
     """Validate Hermiticity and return the exactly symmetrized matrix."""
-    m = np.asarray(h, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _hermitian(m)
+    return _hermitian(_square(np.asarray(h, dtype=complex)))
 
 
 def unitarity_defect(u):
@@ -111,9 +117,7 @@ class Unitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = _square(np.asarray(self.matrix, dtype=complex))
         defect = unitarity_defect(m)
         if not defect <= _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
@@ -132,21 +136,19 @@ class StepPattern:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("a step pattern needs at least one (H, tau) step")
-        norm = []
-        dim = None
+        mats, taus = [], []
         for i, step in enumerate(self.steps):
             if not isinstance(step, (list, tuple)) or len(step) != 2:
                 raise ValueError(f"step {i} must be an (H, tau) pair")
             h, tau = step
             if not is_finite_number(tau) or not tau > 0:
                 raise ValueError(f"step {i}: duration must be positive and finite")
-            hm = as_hermitian(h)
-            if dim is None:
-                dim = hm.shape[0]
-            elif hm.shape[0] != dim:
-                raise ValueError(f"step {i}: dimension {hm.shape[0]} does not match {dim}")
-            norm.append((hm, float(tau)))
-        object.__setattr__(self, "steps", tuple(norm))
+            m = _square(np.asarray(h, dtype=complex))
+            if mats and len(m) != len(mats[0]):
+                raise ValueError(f"step {i}: dimension {len(m)} does not match {len(mats[0])}")
+            mats.append(m)
+            taus.append(float(tau))
+        object.__setattr__(self, "steps", tuple(zip(_hermitian(np.stack(mats)), taus)))
 
     @property
     def period(self):
@@ -261,17 +263,17 @@ def _sample_hamiltonian(h, times):
     """Stack H(t) over a time grid, preferring one vectorized call.
 
     A callable may return the full (n, d, d) stack for an array argument; one
-    that raises TypeError or ValueError on it is evaluated per time point,
-    and each point is checked by as_hermitian. The vectorized stack is
-    returned as it came, for the caller to check.
+    that raises TypeError or ValueError on it, or returns another shape, is
+    evaluated per time point. Either stack is checked for square matrices
+    only; the caller checks its Hermiticity, once.
     """
     try:
         hs = np.asarray(h(times), dtype=complex)
     except (TypeError, ValueError):
         hs = None
     if hs is None or hs.ndim != 3 or hs.shape[0] != times.size or hs.shape[1] != hs.shape[2]:
-        return np.stack([as_hermitian(h(t)) for t in times])
-    return hs
+        hs = np.stack([np.asarray(h(t), dtype=complex) for t in times])
+    return _square(hs, 3)
 
 
 def evolve(h, t_end, n_steps=None, t_start=0.0):
@@ -280,17 +282,15 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     Each fixed step dt is the fourth-order commutator-free pair of
     exponentials on the two Gauss nodes t + c1 dt, t + c2 dt (Alvermann and
     Fehske, J. Comput. Phys. 230 (2011) 5930):
-    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). For d = 2 each
-    step is computed on the three independent entries of H: the samples are
-    checked entry by entry (_hermitian2), combined row by row, exponentiated
-    in closed form into the entry-major layout (_expm2) and multiplied entry
-    by entry, by the same 2x2 rule as chain_matmul (_matmul2); the result is
-    bit for bit that of the same steps formed on full matrices. Larger d
-    checks the whole stack and uses eigh and np.matmul.
-    Each run of _CHUNK steps is formed and reduced by chain_matmul, and the
-    run products by one more chain_matmul, so at most _CHUNK steps are held
-    whatever n_steps is; _CHUNK is a power of two, so the product is bit for
-    bit the chain of all steps at once (see chain_matmul).
+    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)). Each run of
+    _CHUNK steps samples both nodes of all its steps in one call, on the
+    interleaved grid, checks the samples once as one stack, and is reduced
+    by chain_matmul; the run products take one more chain_matmul. So at
+    most _CHUNK steps are held whatever n_steps is, and, _CHUNK being a
+    power of two, the product is bit for bit the chain of all steps at once.
+    At d = 2 each step is formed on the three independent entries of H
+    (_hermitian2, _expm2, _matmul2), bit for bit the same steps as on full
+    matrices; larger d uses _hermitian, eigh and np.matmul.
 
     Parameters
     ----------
@@ -326,16 +326,15 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
 
     def cf4_steps(lo, hi):
         base = t_start + dt * np.arange(lo, hi)
-        s1 = _sample_hamiltonian(h, base + _GAUSS_C1 * dt)
-        s2 = _sample_hamiltonian(h, base + _GAUSS_C2 * dt)
-        if s1.shape[1:] == s2.shape[1:] == (2, 2):
-            r1, r2 = _hermitian2(s1), _hermitian2(s2)
-            first = _expm2(*[_CF4_A1 * x + _CF4_A2 * y for x, y in zip(r1, r2)], dt)
-            second = _expm2(*[_CF4_A2 * x + _CF4_A1 * y for x, y in zip(r1, r2)], dt)
+        hs = _sample_hamiltonian(h, np.add.outer(base, [_GAUSS_C1 * dt, _GAUSS_C2 * dt]).ravel())
+        if hs.shape[1:] == (2, 2):
+            rows = _hermitian2(hs)
+            first = _expm2(*[_CF4_A1 * x[0::2] + _CF4_A2 * x[1::2] for x in rows], dt)
+            second = _expm2(*[_CF4_A2 * x[0::2] + _CF4_A1 * x[1::2] for x in rows], dt)
         else:
-            h1, h2 = _hermitian(s1), _hermitian(s2)
-            first = _expm_batch(_CF4_A1 * h1 + _CF4_A2 * h2, dt)
-            second = _expm_batch(_CF4_A2 * h1 + _CF4_A1 * h2, dt)
+            hs = _hermitian(hs)
+            first = _expm_batch(_CF4_A1 * hs[0::2] + _CF4_A2 * hs[1::2], dt)
+            second = _expm_batch(_CF4_A2 * hs[0::2] + _CF4_A1 * hs[1::2], dt)
         return _matmul2(second, first)
 
     # The first overflow while H(t) is sampled, combined or exponentiated

@@ -141,6 +141,10 @@ SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
     (("step-floquet", "--pattern",
       step_pattern({"hamiltonian": [[1.0, 0.0], [0.0]], "duration": 1.0})),
      "error: field 'steps'[0].hamiltonian must be square"),
+    (("step-floquet", "--pattern", json.dumps({"steps": [
+        {"hamiltonian": [[0, 1], [0, 0]], "duration": 1},
+        {"hamiltonian": [[1, 0], [0, -1]], "duration": True}]})),
+     "error: invalid step pattern: step 1: duration must be positive and finite"),
     (("spin-spectrum", "--mu", "0", "--omega", "1", "--points", "3"),
      "error: field 'mu' must be nonzero for a ratio sweep"),
     (("spin-spectrum", "--mu", "1", "--B", "5", "--omega", "1", "--points", "2",
@@ -162,6 +166,7 @@ SPECTRUM_GRID = ("--beta0-min", "0", "--beta0-max", "1", "--points", "2")
      + SPECTRUM_GRID, "error: field 'period' must be positive"),
 ], ids=["unreadable-profile", "beta0-min-text", "pattern-without-steps", "step-not-object",
         "step-extra-key", "step-without-hamiltonian", "empty-hamiltonian", "ragged-hamiltonian",
+        "non-hermitian-then-bool-duration",
         "spin-sweep-zero-mu", "spin-sweep-with-B", "spin-point-with-ratio-min",
         "spin-point-with-ratio-max", "negative-t-end", "profile-file-not-object",
         "constant-negative-omega", "negative-tol", "constant-zero-period"])

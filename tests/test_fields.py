@@ -14,6 +14,7 @@ from floqtools import (
     vector_potential_rotating,
     vector_potential_standing,
 )
+from floqtools._linops import raise_on_overflow
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,9 +178,30 @@ def test_nodal_error_of_zero_radius_is_zero(trap):
 
 @pytest.mark.filterwarnings("error")
 def test_nodal_error_overflow_raises_without_a_warning():
-    # The ratio does not depend on the amplitude, but the squared norms overflow.
+    # The field scale A omega / c = 1e318 itself overflows.
     with pytest.raises(FloatingPointError, match="^result is not finite: the trap field"):
-        nodal_approx_error(TrapField(1e300, TWO_PI, 1.0), 0.1, [0.0, 0.3])
+        nodal_approx_error(TrapField(1e308, 1e10, 1.0), 0.1, [0.0, 0.3])
+
+
+@pytest.mark.parametrize("amplitude", [1e155, 1e300])
+def test_nodal_error_does_not_depend_on_the_amplitude(amplitude):
+    # The norms of rows of size A k r stay finite where their squares do not.
+    ref = nodal_approx_error(TrapField(1.3, 5.0, 1.0), 0.1, [0.0, 0.3])
+    assert nodal_approx_error(TrapField(amplitude, 5.0, 1.0), 0.1, [0.0, 0.3]) == pytest.approx(
+        ref, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", [rotating_nodal_field, standing_nodal_field])
+def test_nodal_field_overflow_raises_under_the_guard(field):
+    # Every axis entry is nonzero, so no inf * 0 flags the overflow of the
+    # scale A omega / c; the scale must flag it itself.
+    m = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    n = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    trap = TrapField(1e308, 1e10, 1.0, axis_m=m, axis_n=n, axis_s=np.cross(m, n))
+    with pytest.raises(FloatingPointError, match="^result is not finite: the field"):
+        with raise_on_overflow("the field overflows"):
+            field(trap, 0.3)
 
 
 # ---------- array route ----------

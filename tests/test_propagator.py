@@ -107,6 +107,9 @@ NAN_MATRIX = np.array([[math.nan, 0.0], [0.0, 1.0]])
                  id="StepPattern-empty"),
     pytest.param(lambda: step_evolve([(SIGMA_Z, 1.0)], -1.0), "^t must be non-negative$",
                  id="step_evolve-negative"),
+    # Each step's duration is checked before the matrices are checked as one stack.
+    pytest.param(lambda: StepPattern(((np.triu(SIGMA_X), 1.0), (SIGMA_Z, True))),
+                 "^step 1: duration must be positive and finite$", id="StepPattern-two-faults"),
 ])
 def test_non_finite_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -203,6 +206,22 @@ def test_evolve_accepts_vectorized_callable():
 
     scalar = evolve(lambda t: SIGMA_X + math.sin(TWO_PI * t) * SIGMA_Z, 1.0, 512)
     assert_allclose(evolve(h, 1.0, 512).matrix, scalar.matrix, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_steps", [3, 4095, 4097])
+def test_per_point_drive_equals_the_vectorized_drive(dim, n_steps):
+    h = _cosine_drive(dim, 7)
+    probes, points = [], []
+
+    def per_point(t):
+        (probes if np.ndim(t) else points).append(t)
+        return h(float(t))  # float() raises TypeError on an array of times
+
+    assert np.array_equal(evolve(per_point, 1.0, n_steps).matrix, evolve(h, 1.0, n_steps).matrix)
+    # One array probe per chunk, both Gauss nodes at once, then one call per node.
+    assert len(probes) == -(-n_steps // propagator._CHUNK)
+    assert len(points) == 2 * n_steps
 
 
 def test_evolve_checks_each_sample_against_its_own_scale():
@@ -465,6 +484,43 @@ def test_entry_check_is_the_matrix_check_on_three_rows(m):
                       (off, full[:, 1, 0])):
         assert got.tobytes() == want.tobytes()
     assert not full[:, 0, 0].imag.any() and not full[:, 1, 1].imag.any()
+
+
+@st.composite
+def scaled_patterns(draw):
+    """Hermitian d x d matrices at scales 1 to 1e6, each off Hermitian by well
+    inside its tolerance, and one by up to twice it, in one entry."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(n):
+        values = draw(st.lists(unit, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        re, im = np.reshape(values, (2, dim, dim))
+        a = re + 1j * im
+        mats.append(10.0 ** draw(st.floats(0.0, 6.0)) * (a + a.conj().T))
+    faulty = draw(st.integers(0, n - 1))
+    for k, m in enumerate(mats):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        size = draw(st.floats(0.0, 2.0 if k == faulty else 0.2)) * 1e-12 * max(
+            1.0, float(np.abs(m).max()))
+        m[i, j] += 1j * size if draw(st.booleans()) else size
+    return mats
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(mats=scaled_patterns())
+def test_step_pattern_checks_its_stack_as_each_matrix_alone(mats):
+    alone = [_outcome(as_hermitian, m) for m in mats]
+    pattern = _outcome(StepPattern, tuple((m, 0.5) for m in mats))
+    failures = [out for out in alone if isinstance(out, str)]
+    if failures:
+        # Only one matrix is off by more than a fifth of its tolerance.
+        assert pattern == failures[0]
+        return
+    assert not isinstance(pattern, str), pattern
+    for (h, tau), want in zip(pattern.steps, alone):
+        assert h.tobytes() == want.tobytes()
+        assert tau == 0.5
 
 
 def test_lone_2x2_matrix_takes_the_closed_form_of_a_stack():

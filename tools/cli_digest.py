@@ -32,6 +32,10 @@ SIN = '{"kind": "sin", "beta0": 1.0, "omega": 6.283185307179586}'
 THREE_STEPS = '{"kind": "steps", "steps": [[1.0, 0.3], [0.0, 0.4], [0.5, 0.3]]}'
 ONE_STEP = ('{"steps": [{"hamiltonian": [[0.5, [0.3, -0.2]], [[0.3, 0.2], -0.25]], '
             '"duration": 0.7}]}')
+TWO_FAULTS = ('{"steps": [{"hamiltonian": [[0, 1], [0, 0]], "duration": 1}, '
+              '{"hamiltonian": [[1, 0], [0, -1]], "duration": true}]}')
+DIMENSION_MISMATCH = ('{"steps": [{"hamiltonian": [[1, 0], [0, -1]], "duration": 1}, '
+                      '{"hamiltonian": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "duration": 1}]}')
 FIELDS_PROBE = ["fields-probe", "--amplitude", "1.3", "--omega", "6.283185307179586",
                 "--x", "0.01", "-0.02", "0.03", "--t", "0.1"]
 
@@ -55,13 +59,16 @@ def step_floquet(hamiltonian, duration):
 # straddle the 4096-step chunk edges of propagator.evolve; the odd Hill chains
 # (4097 and 3 sin steps, three drive steps) carry an odd last block through
 # chain_matmul; the runs after them reach the input checks of the profile and
-# pattern loaders, the overflow guards of step-floquet, and the spin-spectrum
-# options that do not apply to a sweep or to a single point. Then four
-# amplitude sweeps: a steps one and a stability-scan whose amplitudes overflow
-# (exit 3), a sin one to 1e300, and a constant one from -0.0 to 0.0. The last
-# seven are fields-probe runs whose wavenumber, offsets, amplitude or phase
-# overflow, a loop search at an angle too large for a naive reduction, and a
-# spin product of 2^19 steps whose rounding drifts past the unitarity check.
+# pattern loaders, the overflow guards of step-floquet, a pattern with two
+# faults (a non-Hermitian step, then a bool duration), whose report depends on
+# the order of StepPattern's checks, one whose step dimensions differ, and the
+# spin-spectrum options that do not apply to a sweep or to a single point.
+# Then four amplitude sweeps: a steps one and a stability-scan whose
+# amplitudes overflow (exit 3), a sin one to 1e300, and a constant one from
+# -0.0 to 0.0. The last seven are fields-probe runs whose wavenumber,
+# offsets, amplitude or phase overflow, a loop search at an angle too large
+# for a naive reduction, and a spin product of 2^19 steps whose rounding
+# drifts past the unitarity check.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -93,6 +100,8 @@ EXTRA = [
     ("step-floquet/duration-huge", step_floquet("[[1, 0], [0, -1]]", HUGE)),
     ("step-floquet/exponent-overflow", step_floquet("[[1e300, 0], [0, -1e300]]", "1e10")),
     ("step-floquet/large-hermitian", step_floquet("[[1e308, 1e308], [1e308, -1e308]]", "1")),
+    ("step-floquet/two-faults", ["step-floquet", "--pattern", TWO_FAULTS]),
+    ("step-floquet/dimension-mismatch", ["step-floquet", "--pattern", DIMENSION_MISMATCH]),
     ("spin-spectrum/sweep-with-B", ["spin-spectrum", "--mu", "1", "--B", "5", "--omega", "1",
                                     "--points", "2", "--ratio-max", "1"]),
     ("spin-spectrum/point-with-ratio-max", SPIN_POINT + ["--ratio-max", "1"]),
