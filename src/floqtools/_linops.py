@@ -130,8 +130,8 @@ def chain_matmul(mats):
     last element. A stack of d > 2 multiplies through np.matmul. A 2x2
     stack, real or complex, is reduced in the entry-major (2, 2, n) layout
     with one rule, x[i, 0] y[0, j] + x[i, 1] y[1, j] per entry: the first
-    round reads the stack where it lies (_matmul2) and every later one is a
-    broadcast multiply-add on the layout.
+    round reads the stack where it lies (_matmul2) and every later one is
+    _entry_product on the layout.
 
     So a chain may be reduced in aligned blocks: for a power of two
     size = 2^k, chain_matmul of the block products chain_matmul(mats[i:i +
@@ -159,11 +159,48 @@ def chain_matmul(mats):
         e = np.concatenate([e, m[-1][:, :, None]], axis=2)
     while e.shape[2] > 1:
         even = e.shape[2] - (e.shape[2] % 2)
-        x, y = e[:, :, 1:even:2], e[:, :, 0:even:2]
-        head = x[:, 0, None] * y[None, 0]
-        head += x[:, 1, None] * y[None, 1]
+        head = _entry_product(e[:, :, 1:even:2], e[:, :, 0:even:2])
         e = head if even == e.shape[2] else np.concatenate([head, e[:, :, -1:]], axis=2)
     return e[:, :, 0]
+
+
+def _entry_product(x, y, out=None):
+    """x y in the entry-major (2, 2, ...) layout: x[i, 0] y[0, j] + x[i, 1] y[1, j] per entry."""
+    out = np.multiply(x[:, 0, None], y[None, 0], out=out)
+    out += x[:, 1, None] * y[None, 1]
+    return out
+
+
+def prefix_products(blocks, state):
+    """Prefixes P_k = blocks[k] @ ... @ blocks[0] of a real 2x2 stack, applied to state.
+
+    state is a (2,) vector or a (2, c) array of them as columns (the
+    identity gives the prefixes themselves); the result has shape (n,) +
+    state.shape. A blocked two-level scan: padded with identities to blocks of
+    w = isqrt(n) steps, w sequential entry products (chain_matmul's rule) form
+    the prefixes inside all blocks at once, the state is carried from block to
+    block, and one broadcast product maps each block's start state. No matrix
+    product spans more than one block, so, as in a sequential loop, a zero or
+    small state on a growing flow stays finite; the results equal that loop's
+    to roundoff of their largest entry.
+    """
+    b = np.asarray(blocks, dtype=float)
+    if b.ndim != 3 or b.shape[0] == 0 or b.shape[1:] != (2, 2):
+        raise ValueError("expected a non-empty stack of 2x2 matrices")
+    s = np.asarray(state, dtype=float)
+    n, w = b.shape[0], math.isqrt(b.shape[0])
+    m = -(-n // w)
+    scan = np.concatenate([b, np.broadcast_to(np.eye(2), (m * w - n, 2, 2))])
+    scan = scan.reshape(m, w, 2, 2).transpose(2, 3, 1, 0).copy()  # [:, :, j, k] is step k w + j
+    for j in range(1, w):
+        scan[:, :, j] = _entry_product(scan[:, :, j], scan[:, :, j - 1])
+    starts = np.empty((2, s.size // 2, m))
+    starts[:, :, 0] = s.reshape(2, -1)
+    for k in range(1, m):
+        _entry_product(scan[:, :, -1, k - 1], starts[:, :, k - 1], out=starts[:, :, k])
+    out = np.empty((m, w, 2, s.size // 2))
+    _entry_product(scan, starts[:, :, None], out=out.transpose(2, 3, 1, 0))
+    return out.reshape((m * w,) + s.shape)[:n]
 
 
 def oscillator_blocks(betas, dts):

@@ -12,8 +12,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._linops import (TWO_PI, chain_matmul, count, oscillator_blocks, raise_on_overflow,
-                      reduce_to_zone, require_finite, resolve_steps)
+from ._linops import (TWO_PI, chain_matmul, count, oscillator_blocks, prefix_products,
+                      raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
 from .profiles import DriveProfile, integration_segments, sample_segments
 
 ELLIPTIC = "elliptic"
@@ -210,8 +210,9 @@ def _radial_samples(profile, state0, t_end, n_steps):
     and angles[k] the sum of beta dt up to it. The grid is cut once by
     sample_segments, so steps profiles are split at the drive
     discontinuities and the other kinds take one midpoint per interval.
-    Each step writes np.dot(block, state) into the preallocated states,
-    with no new array per block.
+    Each state is a prefix product of the frozen blocks applied to state0,
+    which prefix_products carries from block to block of its scan; it agrees
+    with one-at-a-time stepping to roundoff.
 
     Raises ValueError for a t_end or state0 that is not finite, and
     FloatingPointError at the first overflow or invalid value.
@@ -222,11 +223,10 @@ def _radial_samples(profile, state0, t_end, n_steps):
         raise ValueError("state0 must be finite")
     times = np.linspace(0.0, float(t_end), resolve_steps(n_steps) + 1)
     dts, betas, ends = sample_segments(profile, times)
-    states = np.empty((len(dts) + 1,) + state.shape)
-    states[0] = state
     with raise_on_overflow("the sampled radial flow overflows"):
-        for block, prev, step in zip(oscillator_blocks(betas, dts), states, states[1:]):
-            np.dot(block, prev, out=step)
+        flow = prefix_products(oscillator_blocks(betas, dts), state)
+        flow += 0.0  # a sum of two -0.0 terms is -0.0; a state that is 0 stays +0.0
+        states = np.concatenate([state[None], flow])
         angles = np.concatenate([[0.0], np.cumsum(betas * dts)])
     return times, states[ends], angles[ends]
 
@@ -235,7 +235,8 @@ def classical_trajectory(profile, state0, t_end, n_steps=None):
     """Phase-plane path of (q, p), sampled on a uniform grid.
 
     Returns an array with rows (t, q, p); steps profiles are integrated
-    exactly by splitting the grid at the drive discontinuities.
+    exactly by splitting the grid at the drive discontinuities. Each state
+    is a prefix product of the frozen blocks applied to state0.
     """
     times, states, _ = _radial_samples(profile, state0, t_end, n_steps)
     return np.column_stack([times, states])

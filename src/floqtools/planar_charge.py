@@ -152,9 +152,9 @@ def planar_trajectory(profile, state0, t_end, n_steps=None):
     """Sampled in-plane path; rows are (t, q1, q2, p1, p2).
 
     The radial Hill flow carries both planes at once, as the columns
-    (q1, p1) and (q2, p2) of a 2 x 2 state; each sample is then rotated by
-    the sum of beta dt over the frozen segments up to it, as in
-    reconstruct_planar.
+    (q1, p1) and (q2, p2) of a 2 x 2 state that each prefix product of the
+    frozen blocks maps; each sample is then rotated by the sum of beta dt
+    over the frozen segments up to it, as in reconstruct_planar.
     """
     q1, q2, p1, p2 = np.asarray(state0, dtype=float)
     times, radial, angles = hill._radial_samples(profile, [[q1, q2], [p1, p2]], t_end, n_steps)

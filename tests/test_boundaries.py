@@ -24,7 +24,7 @@ from floqtools import (
     polish_loop_beta1,
     rotating_frame_reduction,
 )
-from floqtools._linops import chain_matmul, resolve_steps
+from floqtools._linops import chain_matmul, prefix_products, resolve_steps
 from floqtools.hill import loop_order_for_angle
 from floqtools.profiles import integration_segments, sample_segments
 
@@ -93,6 +93,11 @@ HILL_SITES = [
                  id="DriveProfile-period"),
     pytest.param("^expected a non-empty stack", lambda: chain_matmul(np.zeros((0, 2, 2))),
                  id="chain_matmul-empty"),
+    pytest.param("^expected a non-empty stack of 2x2",
+                 lambda: prefix_products(np.zeros((0, 2, 2)), [1.0, 0.0]),
+                 id="prefix_products-empty"),
+    pytest.param("^expected a non-empty stack of 2x2",
+                 lambda: prefix_products(np.eye(3)[None], [1.0, 0.0]), id="prefix_products-3x3"),
     pytest.param("^omega must be positive$", lambda: TrapField(1, 0, 1), id="TrapField-omega"),
     pytest.param("^light_speed must be positive$", lambda: TrapField(1, 1, -1),
                  id="TrapField-light_speed"),

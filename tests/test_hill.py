@@ -24,7 +24,8 @@ from floqtools import (
 )
 from floqtools._linops import oscillator_blocks, raise_on_overflow, rotation2
 from floqtools.hill import loop_order_for_angle
-from stepping_oracle import TRAJECTORY_CASES, interval_samples
+from stepping_oracle import (TRAJECTORY_CASES, assert_close_to_stepping,
+                             assert_cut_and_summed_per_interval, interval_samples)
 
 TWO_PI = 2.0 * math.pi
 
@@ -308,4 +309,20 @@ def test_trajectory_equals_per_interval_stepping(profile, t_end, n, oscillator_b
     path = classical_trajectory(profile, (1.0, -0.3), t_end, n_steps=n)
     assert len(oscillator_block_calls) == 1
     times, states, _ = interval_samples(profile, (1.0, -0.3), t_end, n)
-    assert np.array_equal(path, np.column_stack([times, states]))
+    assert np.array_equal(path[:, 0], times)
+    assert_close_to_stepping(path[:, 1:], states)
+    assert_cut_and_summed_per_interval(profile, (1.0, -0.3), t_end, n)
+
+
+def test_zero_state_stays_zero_on_a_growing_flow():
+    # |M^1000| ~ 1e396 leaves the float range, but the scan carries states,
+    # not prefixes, across its blocks: a zero start stays +0.0 and a 1e-100
+    # one grows to about 4e297, as stepping one block at a time gives.
+    profile = DriveProfile.from_steps(((1.0, 0.5), (5.0, 0.5)))
+    path = classical_trajectory(profile, (0.0, 0.0), 1000.0, n_steps=1000)
+    assert np.array_equal(path[:, 1:], np.zeros((1001, 2)))
+    assert not np.signbit(path[:, 1:]).any()
+    path = classical_trajectory(profile, (1e-100, 0.0), 1000.0, n_steps=1000)
+    _, states, _ = interval_samples(profile, (1e-100, 0.0), 1000.0, 1000)
+    assert np.abs(states[-1]).max() > 1e297
+    assert_close_to_stepping(path[:, 1:], states)

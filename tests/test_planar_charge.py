@@ -21,7 +21,8 @@ from floqtools import (
     symplectic_defect,
 )
 from planar_oracle import planar_blocks, planar_flow, planar_path
-from stepping_oracle import TRAJECTORY_CASES, interval_samples
+from stepping_oracle import (TRAJECTORY_CASES, assert_close_to_stepping,
+                             assert_cut_and_summed_per_interval, interval_samples)
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,9 +263,10 @@ def test_planar_trajectory_equals_per_interval_stepping(profile, t_end, n,
     times, radial, angles = interval_samples(profile, [[1.0, -0.3], [0.2, 0.5]], t_end, n)
     c, s = np.cos(angles), np.sin(angles)
     q1, q2, p1, p2 = radial[:, 0, 0], radial[:, 0, 1], radial[:, 1, 0], radial[:, 1, 1]
-    expected = np.column_stack([times, c * q1 + s * q2, c * q2 - s * q1,
-                                c * p1 + s * p2, c * p2 - s * p1])
-    assert np.array_equal(path, expected)
+    expected = np.column_stack([c * q1 + s * q2, c * q2 - s * q1, c * p1 + s * p2, c * p2 - s * p1])
+    assert np.array_equal(path[:, 0], times)
+    assert_close_to_stepping(path[:, 1:], expected)
+    assert_cut_and_summed_per_interval(profile, [[1.0, -0.3], [0.2, 0.5]], t_end, n)
 
 
 def test_threshold_and_scan_profiles_come_from_stability_family(monkeypatch, monodromy_calls,

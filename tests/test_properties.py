@@ -1,12 +1,13 @@
 """Property tests of the library constructors, the profile JSON schema, with_amplitude,
-step_evolve, the Hill monodromy, floquet_result and reduce_to_zone."""
+step_evolve, the Hill monodromy, floquet_result, reduce_to_zone and prefix_products."""
+import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floqtools import (
     DriveProfile,
@@ -23,7 +24,7 @@ from floqtools import (
     step_evolve,
     with_amplitude,
 )
-from floqtools._linops import chain_matmul, finite_product, oscillator_blocks
+from floqtools._linops import chain_matmul, finite_product, oscillator_blocks, prefix_products
 from floqtools.hill import HYPERBOLIC, classify_trace, floquet_angle
 from floqtools.profiles import sample_segments
 
@@ -241,3 +242,40 @@ def test_reduce_to_zone_lands_in_the_zone_and_is_idempotent(omega, k, x):
         assert reduce_to_zone(value, omega) == zoned
         assert -0.5 * omega < zoned <= 0.5 * omega
         assert reduce_to_zone(zoned, omega) == zoned
+
+
+def elliptic_steps(n):
+    """n (beta, dt) pairs of an elliptic drive, drawn from the seed n."""
+    rng = np.random.default_rng(n)
+    return list(zip(rng.uniform(0.5, 3.0, n), rng.uniform(0.0, 0.05, n)))
+
+
+# Besides the drawn lengths: 1, 2, 3, a perfect square and its neighbours, a
+# prime, and a trajectory's length.
+@PROPERTY
+@given(steps=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 0.05)), min_size=1,
+                      max_size=400))
+@example(steps=elliptic_steps(1))
+@example(steps=elliptic_steps(2))
+@example(steps=elliptic_steps(3))
+@example(steps=elliptic_steps(143))
+@example(steps=elliptic_steps(144))
+@example(steps=elliptic_steps(145))
+@example(steps=elliptic_steps(151))
+@example(steps=elliptic_steps(20_000))
+def test_prefix_products_are_the_running_products(steps):
+    # Each prefix, and its image of a vector, within 1e-12 of its largest
+    # entry of the block-by-block product; the last one is chain_matmul's,
+    # and every determinant stays 1 to roundoff.
+    betas, dts = np.array(steps).T
+    blocks = oscillator_blocks(betas, dts)
+    want = np.array(list(itertools.accumulate(blocks, lambda prefix, block: block @ prefix)))
+    scale = np.abs(want).max(axis=(1, 2))
+    got = prefix_products(blocks, np.eye(2))
+    assert got.shape == (len(steps), 2, 2)
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
+    vector = np.array([0.3, -1.1])
+    assert (np.abs(prefix_products(blocks, vector) - want @ vector).max(axis=1)
+            <= 1e-12 * scale * np.abs(vector).sum()).all()
+    assert np.abs(got[-1] - chain_matmul(blocks)).max() <= 1e-12 * scale[-1]
+    assert (np.abs(np.linalg.det(got) - 1.0) <= 1e-12 * scale ** 2).all()

@@ -55,14 +55,17 @@ def step_floquet(hamiltonian, duration):
             f'{{"steps": [{{"hamiltonian": {hamiltonian}, "duration": {duration}}}]}}']
 
 
-# (operation name, argv) of the runs no workload makes. The spin step counts
-# straddle the 4096-step chunk edges of propagator.evolve; the odd Hill chains
-# (4097 and 3 sin steps, three drive steps) carry an odd last block through
-# chain_matmul; the runs after them reach the input checks of the profile and
-# pattern loaders, the overflow guards of step-floquet, a pattern with two
-# faults (a non-Hermitian step, then a bool duration), whose report depends on
-# the order of StepPattern's checks, one whose step dimensions differ, and the
-# spin-spectrum options that do not apply to a sweep or to a single point.
+# (operation name, argv) of the runs no workload makes. The two trajectories
+# after the exit-3 one give the prefix scan of hill._radial_samples one segment
+# and 101 (a prime, one above the square 100: a padded last block). The spin
+# step counts straddle the 4096-step chunk edges of propagator.evolve; the odd
+# Hill chains (4097 and 3 sin steps, three drive steps) carry an odd last
+# block through chain_matmul; the runs after them reach the input checks of
+# the profile and pattern loaders, the overflow guards of step-floquet, a
+# pattern with two faults (a non-Hermitian step, then a bool duration), whose
+# report depends on the order of StepPattern's checks, one whose step
+# dimensions differ, and the spin-spectrum options that do not apply to a
+# sweep or to a single point.
 # Then four amplitude sweeps: a steps one and a stability-scan whose
 # amplitudes overflow (exit 3), a sin one to 1e300, and a constant one from
 # -0.0 to 0.0. The last seven are fields-probe runs whose wavenumber,
@@ -83,6 +86,10 @@ EXTRA = [
     ("osc-trajectory/exit-3", ["osc-trajectory", "--profile",
                                '{"kind": "constant", "beta0": 1e300}', "--t-end", "1e10",
                                "--samples", "2"]),
+    ("osc-trajectory/samples-1", ["osc-trajectory", "--profile", SIN, "--t-end", "0.7",
+                                  "--samples", "1"]),
+    ("osc-trajectory/steps-101-segments", ["osc-trajectory", "--profile", THREE_STEPS,
+                                           "--t-end", "2.5", "--samples", "94"]),
 ] + [(f"spin-spectrum/point-steps-{n}", SPIN_POINT + ["--steps", str(n)])
      for n in (4095, 4096, 4097, 8192, 8193, 12289)] + [
     ("osc-spectrum/sin-steps-4097", osc_spectrum(SIN) + ["--steps", "4097"]),
