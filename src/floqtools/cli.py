@@ -356,7 +356,7 @@ def build_parser():
     p.add_argument("--ratio-max", type=_finite_float, default=None,
                    help="sweep only (default 1e3)")
     _add_steps(p, "max(1024, ceil(64 (|mu B| T)^0.75)) with T = 2 pi / omega, "
-                  "at most 2^20")
+                  "at most 2^20; an odd count is rounded up to even")
     p.set_defaults(func=_cmd_spin_spectrum)
 
     p = sub.add_parser("step-floquet",

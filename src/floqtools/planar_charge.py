@@ -155,9 +155,14 @@ def planar_trajectory(profile, state0, t_end, n_steps=None):
     (q1, p1) and (q2, p2) of a 2 x 2 state that each prefix product of the
     frozen blocks maps; each sample is then rotated by the sum of beta dt
     over the frozen segments up to it, as in reconstruct_planar.
+    FloatingPointError when the flow or its rotation overflows.
     """
     q1, q2, p1, p2 = np.asarray(state0, dtype=float)
     times, radial, angles = hill._radial_samples(profile, [[q1, q2], [p1, p2]], t_end, n_steps)
     # Rotate the rows (q1, q2) and (p1, p2) of every sample by its angle.
-    planes = np.einsum("kij,ljk->kil", radial, rotation2(angles))
+    (c, s), (minus_s, _) = rotation2(angles[:, None])
+    first, second = radial[:, :, 0], radial[:, :, 1]
+    with raise_on_overflow("the planar trajectory overflows"):
+        planes = np.stack([first * c + second * s, first * minus_s + second * c], axis=-1)
+        planes += 0.0  # a sum of two -0.0 terms is -0.0; a rotated 0 stays +0.0
     return np.column_stack([times, planes.reshape(times.size, 4)])

@@ -342,6 +342,11 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     with raise_on_overflow("a step of H(t) dt overflows"):
         u = chain_matmul([chain_matmul(cf4_steps(lo, min(lo + _CHUNK, n_steps)))
                           for lo in range(0, n_steps, _CHUNK)])
+    return product_unitary(u, n_steps)
+
+
+def product_unitary(u, n_steps):
+    """Unitary(u) for a product u of n_steps unitary steps, or FloatingPointError."""
     try:
         return Unitary(u)
     except ValueError:  # each step is unitary, so only rounding drift fails the check

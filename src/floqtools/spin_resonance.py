@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linops import TWO_PI, finite_product, require_finite, resolve_steps
-from .propagator import epicycle, evolve, quasienergies, reduce_to_zone
+from .propagator import epicycle, evolve, product_unitary, quasienergies, reduce_to_zone
 
 # Most steps per period the automatic rule of spin_spacing_from_propagator
-# and verify_factorization may choose. It bounds run time, about 0.7 s per
-# period on a 2-core Xeon; evolve's memory does not grow with the step count.
-# The rule reaches it near mu B / omega = 6.6e4.
+# and verify_factorization may choose. It bounds run time, about 0.2 s for a
+# spin_spacing_from_propagator point on a 2-core Xeon; evolve's memory does
+# not grow with the step count. The rule reaches it near mu B / omega = 6.6e4.
 _MAX_AUTO_STEPS = 2 ** 20
 
 
@@ -57,10 +57,15 @@ def spin_instantaneous(params, t):
     the rotating-frame factorization holds with the generator below.
     Broadcasts over an array of times, returning the (n, 2, 2) stack.
     """
-    angle = params.omega * np.asarray(t)
+    # + 0.0: sin(-0.0) is -0.0, where the imaginary part of cos + 1j sin is +0.0.
+    angle = params.omega * np.asarray(t) + 0.0
+    row = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=row.real)
+    np.sin(angle, out=row.imag)
+    row *= -params.coupling
     h = np.zeros(angle.shape + (2, 2), dtype=complex)
-    h[..., 0, 1] = -params.coupling * (np.cos(angle) + 1j * np.sin(angle))
-    h[..., 1, 0] = np.conj(h[..., 0, 1])
+    h[..., 0, 1] = row
+    np.conjugate(row, out=h[..., 1, 0])
     return h
 
 
@@ -136,19 +141,32 @@ def _auto_steps(params):
     return n_steps
 
 
+def _period_propagator(params, n_steps=None):
+    """U(T) = V^T V with V = U(T/2, 0) over ceil(n_steps / 2) steps.
+
+    The drive is time-reversal symmetric, H(T - t) = H(t)^T: its field angle
+    mirrors about T/2. That is a property of the drive, not of the closed
+    form. As 1 - c1 = c2, each CF4 step of the second half is the transpose
+    of its mirror step in the first, so V^T V is the whole-period product at
+    2 ceil(n_steps / 2) steps up to rounding, checked at that count.
+    """
+    per_period = _auto_steps(params) if n_steps is None else resolve_steps(n_steps)
+    half = -(-per_period // 2)
+    v = evolve(lambda s: spin_instantaneous(params, s), 0.5 * params.period, half).matrix
+    return product_unitary(v.T @ v, 2 * half)
+
+
 def spin_spacing_from_propagator(params, n_steps=None):
     """Resonance spacing recovered from one integrated drive period.
 
-    The one-period propagator determines quasienergies only modulo omega, so
-    the measurable content is the zone-folded gap; the whole multiple of
-    omega is restored from the closed-form branch before returning. Agrees
-    with spin_quasienergy_spacing to the integrator tolerance.
+    n_steps counts steps per period, an odd count rounded up to even
+    (_period_propagator). The one-period propagator determines quasienergies
+    only modulo omega, so the measurable content is the zone-folded gap; the
+    whole multiple of omega is restored from the closed-form branch before
+    returning. Agrees with spin_quasienergy_spacing to the integrator tolerance.
     """
-    if n_steps is None:
-        n_steps = _auto_steps(params)
     period = params.period
-    u = evolve(lambda s: spin_instantaneous(params, s), period, n_steps)
-    eps = quasienergies(u, period).values
+    eps = quasienergies(_period_propagator(params, n_steps), period).values
     gap = abs(reduce_to_zone(float(eps[-1] - eps[0]), params.omega))
     exact = spin_quasienergy_spacing(params)
     residue = reduce_to_zone(exact, params.omega)

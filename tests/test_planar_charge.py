@@ -255,6 +255,16 @@ def test_planar_trajectory_matches_direct_4x4_stepping(profile):
     assert np.abs(path - direct).max() < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_planar_trajectory_rotation_overflow_raises():
+    # The radial samples stay finite (q = 1.35e308 in both planes at t_end),
+    # but q1 cos + q2 sin at the angle pi / 4 is 1.9e308.
+    with pytest.raises(FloatingPointError,
+                       match="^result is not finite: the planar trajectory overflows$"):
+        planar_trajectory(DriveProfile.constant(math.pi / 4 / 1.5e298, 1.0),
+                          (0.0, 0.0, 1e10, 1e10), 1.5e298, n_steps=2)
+
+
 @pytest.mark.parametrize("profile, t_end, n", TRAJECTORY_CASES)
 def test_planar_trajectory_equals_per_interval_stepping(profile, t_end, n,
                                                         oscillator_block_calls):

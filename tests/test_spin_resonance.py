@@ -49,6 +49,29 @@ def test_instantaneous_vanishes_without_field():
                     np.zeros((2, 2)), atol=1e-15)
 
 
+@pytest.mark.parametrize("mu, b_field", [(0.7, 1.3), (-0.7, 1.3), (0.7, 0.0), (-0.7, 0.0)])
+def test_instantaneous_is_bit_for_bit_the_cos_plus_i_sin_row(mu, b_field):
+    params = SpinParams(mu, b_field, 2.0)
+    for t in (0.0, -0.0, 0.3, np.array([0.0, -0.0, 0.3, 1e10]),
+              np.linspace(0.0, 7.0, 1001)):
+        angle = params.omega * np.asarray(t)
+        expected = np.zeros(angle.shape + (2, 2), dtype=complex)
+        expected[..., 0, 1] = -params.coupling * (np.cos(angle) + 1j * np.sin(angle))
+        expected[..., 1, 0] = np.conj(expected[..., 0, 1])
+        got = spin_instantaneous(params, t).view(float)
+        assert np.array_equal(got, expected.view(float))
+        assert np.array_equal(np.signbit(got), np.signbit(expected.view(float)))
+
+
+def test_instantaneous_is_time_reversal_symmetric():
+    # H(T - t) = H(t)^T, the symmetry that _period_propagator composes U(T) from.
+    params = SpinParams(-0.8, 2.5, 1.7)
+    t = np.linspace(0.0, params.period, 257)
+    mirrored = spin_instantaneous(params, params.period - t)
+    transposed = spin_instantaneous(params, t).swapaxes(-1, -2)
+    assert np.abs(mirrored - transposed).max() <= 1e-15 * abs(params.coupling)
+
+
 def test_instantaneous_spectrum_is_time_independent():
     params = SpinParams(0.9, 1.1, 3.0)
     for t in (0.0, 0.2, 1.7):
@@ -161,7 +184,7 @@ def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
     monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
     with pytest.raises(RuntimeError, match="evolve called"):
         spin_spacing_from_propagator(SpinParams(1.0, 6.6e4, 1.0))
-    assert 2 ** 19 < asked[0] <= 2 ** 20
+    assert 2 ** 19 < 2 * asked[0] <= 2 ** 20
     with pytest.raises(ValueError, match=r"mu B / omega = 67000 needs 1057721 steps"):
         spin_spacing_from_propagator(SpinParams(1.0, 6.7e4, 1.0))
     assert len(asked) == 1
@@ -177,7 +200,7 @@ def test_automatic_step_count_has_a_floor_of_1024(monkeypatch):
     monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
     with pytest.raises(RuntimeError, match="evolve called"):
         spin_spacing_from_propagator(SpinParams(1.0, 1e-3, 1.0))
-    assert asked == [1024]
+    assert asked == [512]
 
 
 def test_automatic_step_count_holds_the_folded_gap_error():
@@ -202,6 +225,23 @@ def test_propagator_route_folded_gap():
         numeric = spin_spacing_from_propagator(params)
         err = abs(abs(reduce_to_zone(numeric, omega)) - abs(reduce_to_zone(exact, omega)))
         assert err < 1e-7 * omega + 1e-11 * exact, f"ratio {ratio}: error {err}"
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.25, 5.0, 1e3])
+def test_half_period_route_is_the_whole_period_product(ratio):
+    params = SpinParams(1.0, ratio, 1.0)
+    u = spin_resonance._period_propagator(params).matrix
+    n_steps = 2 * -(-spin_resonance._auto_steps(params) // 2)
+    whole = evolve(lambda t: spin_instantaneous(params, t), params.period, n_steps).matrix
+    assert np.abs(u - whole).max() <= 1e-11
+    assert np.abs(u - u.T).max() <= 1e-12
+
+
+def test_odd_step_count_is_rounded_up_to_even():
+    params = SpinParams(1.0, 0.4, 1.0)
+    for n in (1, 7, 4097):
+        assert np.array_equal(spin_resonance._period_propagator(params, n).matrix,
+                              spin_resonance._period_propagator(params, n + 1).matrix)
 
 
 def test_one_period_quasienergies_carry_the_spinor_sign():

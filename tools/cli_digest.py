@@ -58,9 +58,12 @@ def step_floquet(hamiltonian, duration):
 # (operation name, argv) of the runs no workload makes. The two trajectories
 # after the exit-3 one give the prefix scan of hill._radial_samples one segment
 # and 101 (a prime, one above the square 100: a padded last block). The spin
-# step counts straddle the 4096-step chunk edges of propagator.evolve; the odd
-# Hill chains (4097 and 3 sin steps, three drive steps) carry an odd last
-# block through chain_matmul; the runs after them reach the input checks of
+# step counts are per period, and spin-spectrum evolves half of each, rounded
+# up: 8192, 8193, 16384 and 16385 reach propagator.evolve as 4096, 4097, 8192
+# and 8193 steps, on either side of its 4096-step chunk edges; 4095 and 4096
+# both reach it as 2048, and 7 as 4; the odd Hill chains (4097 and 3 sin
+# steps, three drive steps) carry an odd last block through chain_matmul;
+# the runs after them reach the input checks of
 # the profile and pattern loaders, the overflow guards of step-floquet, a
 # pattern with two faults (a non-Hermitian step, then a bool duration), whose
 # report depends on the order of StepPattern's checks, one whose step
@@ -91,7 +94,7 @@ EXTRA = [
     ("osc-trajectory/steps-101-segments", ["osc-trajectory", "--profile", THREE_STEPS,
                                            "--t-end", "2.5", "--samples", "94"]),
 ] + [(f"spin-spectrum/point-steps-{n}", SPIN_POINT + ["--steps", str(n)])
-     for n in (4095, 4096, 4097, 8192, 8193, 12289)] + [
+     for n in (7, 4095, 4096, 4097, 8192, 8193, 12289, 16384, 16385)] + [
     ("osc-spectrum/sin-steps-4097", osc_spectrum(SIN) + ["--steps", "4097"]),
     ("osc-spectrum/sin-steps-3", osc_spectrum(SIN) + ["--steps", "3"]),
     ("osc-loop-find/three-steps", ["osc-loop-find", "--profile", THREE_STEPS,
