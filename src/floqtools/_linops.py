@@ -58,6 +58,8 @@ def is_finite_number(value):
 
     json.loads accepts the literals NaN and Infinity; they are rejected here.
     """
+    if type(value) is float:  # the common case, tested first
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     try:

@@ -105,19 +105,12 @@ def _positive_int(text):
     return value
 
 
-def _matrix_entry(value, where):
-    if is_finite_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(is_finite_number, value)):
-        return complex(value[0], value[1])
-    raise ProfileError(f"field {where} must be a finite number or an [re, im] pair")
-
-
 def _load_pattern(value):
     """Step-pattern JSON: {"steps": [{"hamiltonian": [[...]], "duration": tau}, ...]}.
 
     Matrix entries are numbers or [re, im] pairs; StepPattern checks the
-    durations, Hermiticity and the dimensions.
+    durations, Hermiticity and the dimensions. One pass checks the structure
+    and each entry, and one np.array converts the entries of all steps.
     """
     text = _load_json_source(value, "pattern")
     try:
@@ -129,7 +122,7 @@ def _load_pattern(value):
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list) or not raw_steps:
         raise ProfileError("field 'steps' must be a non-empty list")
-    steps = []
+    pairs, steps = [], []
     for i, entry in enumerate(raw_steps):
         if not isinstance(entry, dict):
             raise ProfileError(f"field 'steps'[{i}] must be an object")
@@ -141,14 +134,19 @@ def _load_pattern(value):
         rows = entry["hamiltonian"]
         if not isinstance(rows, list) or not rows:
             raise ProfileError(f"field 'steps'[{i}].hamiltonian must be a matrix")
-        matrix = []
+        steps.append((len(pairs), len(rows), entry["duration"]))
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != len(rows):
                 raise ProfileError(f"field 'steps'[{i}].hamiltonian must be square")
-            matrix.append([_matrix_entry(v, f"'steps'[{i}].hamiltonian[{r}]") for v in row])
-        steps.append((np.array(matrix, dtype=complex), entry["duration"]))
+            for v in row:
+                pair = v if type(v) is list and len(v) == 2 else (v, 0.0)
+                if not (is_finite_number(pair[0]) and is_finite_number(pair[1])):
+                    raise ProfileError(f"field 'steps'[{i}].hamiltonian[{r}] must be a finite "
+                                       "number or an [re, im] pair")
+                pairs.append(pair)
+    flat = np.array(pairs, dtype=float).view(complex)[:, 0]  # the (re, im) of each entry
     try:
-        return StepPattern(tuple(steps))
+        return StepPattern(tuple((flat[k:k + d * d].reshape(d, d), tau) for k, d, tau in steps))
     except ValueError as exc:
         raise ProfileError(f"invalid step pattern: {exc}") from None
 
@@ -253,7 +251,7 @@ def _cmd_spin_spectrum(args):
 def _cmd_step_floquet(args):
     pattern = _load_pattern(args.pattern)
     # StepPattern has checked and symmetrized every matrix.
-    levels = np.linalg.eigvalsh(np.array([h for h, _ in pattern.steps]))
+    levels = np.linalg.eigvalsh(pattern.hamiltonians)
     rows = [(f"instantaneous_{i + 1}", float(energy))
             for i, step_levels in enumerate(levels) for energy in step_levels]
     spectrum = quasienergies(step_propagator(pattern), pattern.period)

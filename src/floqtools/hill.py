@@ -6,6 +6,7 @@ loop is a drive whose monodromy power returns to the identity.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -102,9 +103,10 @@ def floquet_result(m, t_period, n_max=64):
     loop_order = None
     if stability != HYPERBOLIC:
         omega_f = floquet_angle(tr) / t_period
-        if n_max:
-            loop_order = next((n for n in range(1, n_max + 1)
-                               if loop_deviation(m, n) < _LOOP_TOL), None)
+        if n_max:  # M, M^2, ... one product at a time, each closed as loop_deviation(M^n, 1)
+            powers = itertools.accumulate(itertools.repeat(m, n_max), np.matmul)
+            loop_order = next((n for n, power in enumerate(powers, 1)
+                               if loop_deviation(power, 1) < _LOOP_TOL), None)
     return FloquetResult(stability, tr, omega_f, loop_order)
 
 

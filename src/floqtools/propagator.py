@@ -129,7 +129,10 @@ class Unitary:
 
 @dataclass(frozen=True, eq=False)
 class StepPattern:
-    """Piecewise-constant Hamiltonian: (H_i, tau_i) applied in listed order."""
+    """Piecewise-constant Hamiltonian: (H_i, tau_i) applied in listed order.
+
+    hamiltonians is the checked, symmetrized (n, d, d) stack, durations the (n,) taus.
+    """
 
     steps: tuple
 
@@ -148,10 +151,13 @@ class StepPattern:
                 raise ValueError(f"step {i}: dimension {len(m)} does not match {len(mats[0])}")
             mats.append(m)
             taus.append(float(tau))
-        object.__setattr__(self, "steps", tuple(zip(_hermitian(np.stack(mats)), taus)))
+        object.__setattr__(self, "hamiltonians", _hermitian(np.stack(mats)))
+        object.__setattr__(self, "durations", np.array(taus))
+        object.__setattr__(self, "steps", tuple(zip(self.hamiltonians, taus)))
 
     @property
     def period(self):
+        # A sequential sum: np.sum adds pairwise, which rounds differently.
         return sum(tau for _, tau in self.steps)
 
 
@@ -202,7 +208,7 @@ def _expm2(upper, lower, off, dt):
 
 
 def _expm_batch(hs, dt):
-    """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack.
+    """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack, dt scalar or (n,).
 
     Every 2x2 stack, a stack of one included, is exponentiated in closed
     form by _expm2, read from the real diagonal and H[1, 0] alone. That is
@@ -212,27 +218,33 @@ def _expm_batch(hs, dt):
     if hs.shape[1:] == (2, 2):
         return _expm2(hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0], dt)
     w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * dt * w)
+    phases = np.exp(-1j * (dt[:, None] if np.ndim(dt) else dt) * w)
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm_hermitian(h, t):
     """exp(-i t H), in closed form at d = 2 and through eigh above; unitary up to roundoff.
 
-    FloatingPointError when the exponent H t overflows from finite inputs.
+    An (n, d, d) stack, with t one duration or one per matrix, gives the array
+    of its steps from one Hermiticity check and one batched exponential.
+    FloatingPointError when an exponent H t overflows from finite inputs.
     """
-    hm = as_hermitian(h)
-    require_finite(t=t)
+    m = np.asarray(h, dtype=complex)
+    hs = _hermitian(_square(m, 3)) if m.ndim == 3 else as_hermitian(m)[None]
+    if not (m.ndim == 3 and np.ndim(t)):
+        require_finite(t=t)
+    elif np.shape(t) != hs.shape[:1] or not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, one duration per matrix, got shape {np.shape(t)}")
     with raise_on_overflow("a step exponent H t overflows"):
-        u = _expm_batch(hm[None], float(t))[0]
-    return Unitary(u)
+        u = _expm_batch(hs, np.asarray(t, dtype=float) if np.ndim(t) else float(t))
+    return u if m.ndim == 3 else Unitary(u[0])
 
 
 def step_propagator(pattern):
     """Ordered product exp(-i tau_n H_n) ... exp(-i tau_1 H_1) over one period."""
     if not isinstance(pattern, StepPattern):
         pattern = StepPattern(tuple(pattern))
-    return Unitary(chain_matmul([expm_hermitian(h, tau).matrix for h, tau in pattern.steps]))
+    return Unitary(chain_matmul(expm_hermitian(pattern.hamiltonians, pattern.durations)))
 
 
 def step_evolve(pattern, t):
@@ -249,13 +261,14 @@ def step_evolve(pattern, t):
         raise ValueError("t must be non-negative")
     n_full, remainder = divmod(t, pattern.period)
     u = np.linalg.matrix_power(step_propagator(pattern).matrix, int(n_full))
-    left = remainder
-    for h, tau in pattern.steps:
+    dts, left = [], remainder
+    for tau in pattern.durations.tolist():
         if left <= 0:
             break
-        dt = min(tau, left)
-        u = expm_hermitian(h, dt).matrix @ u
-        left -= dt
+        dts.append(min(tau, left))
+        left -= dts[-1]
+    if dts:
+        u = chain_matmul([u, *expm_hermitian(pattern.hamiltonians[:len(dts)], dts)])
     return Unitary(u)
 
 
@@ -345,13 +358,17 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     return product_unitary(u, n_steps)
 
 
+class _DriftError(FloatingPointError):
+    def __str__(self):  # args (n_steps, defect) of a product that rounding drifted
+        return "the product of %d steps drifts from unitary (defect %.3e)" % self.args
+
+
 def product_unitary(u, n_steps):
     """Unitary(u) for a product u of n_steps unitary steps, or FloatingPointError."""
     try:
         return Unitary(u)
     except ValueError:  # each step is unitary, so only rounding drift fails the check
-        raise FloatingPointError(f"the product of {n_steps} steps drifts from unitary "
-                                 f"(defect {unitarity_defect(u):.3e})") from None
+        raise _DriftError(n_steps, unitarity_defect(u)) from None
 
 
 def _zone_energies(phases, t_period):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import TWO_PI, finite_product, require_finite, resolve_steps
-from .propagator import epicycle, evolve, product_unitary, quasienergies, reduce_to_zone
+from ._linops import TWO_PI, finite_product, reduce_to_zone, require_finite, resolve_steps
+from .propagator import _DriftError, epicycle, evolve, product_unitary, quasienergies
 
 # Most steps per period the automatic rule of spin_spacing_from_propagator
 # and verify_factorization may choose. It bounds run time, about 0.2 s for a
@@ -148,11 +148,14 @@ def _period_propagator(params, n_steps=None):
     mirrors about T/2. That is a property of the drive, not of the closed
     form. As 1 - c1 = c2, each CF4 step of the second half is the transpose
     of its mirror step in the first, so V^T V is the whole-period product at
-    2 ceil(n_steps / 2) steps up to rounding, checked at that count.
+    2 ceil(n_steps / 2) steps up to rounding; a drift of V or V^T V names that count.
     """
     per_period = _auto_steps(params) if n_steps is None else resolve_steps(n_steps)
     half = -(-per_period // 2)
-    v = evolve(lambda s: spin_instantaneous(params, s), 0.5 * params.period, half).matrix
+    try:
+        v = evolve(lambda s: spin_instantaneous(params, s), 0.5 * params.period, half).matrix
+    except _DriftError as exc:
+        raise _DriftError(2 * half, exc.args[1]) from None
     return product_unitary(v.T @ v, 2 * half)
 
 

@@ -373,6 +373,42 @@ def test_non_finite_pattern_entry_exits_2(capsys):
     assert "hamiltonian" in capsys.readouterr().err
 
 
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("entry", ["true", "NaN", BIG, "[1, true]", "[1, 2, 3]", '"1"',
+                                   f"[{BIG}, 0]"],
+                         ids=["bool", "nan", "400-digits", "pair-with-bool", "triple", "string",
+                              "pair-with-400-digits"])
+def test_bad_pattern_entry_exits_2_naming_its_row(entry, capsys):
+    pattern = '{"steps": [{"hamiltonian": [[%s, 0], [0, 1]], "duration": 1}]}' % entry
+    assert run_cli("step-floquet", "--pattern", pattern) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: field 'steps'[0].hamiltonian[0] must be a finite number "
+                            "or an [re, im] pair\n")
+
+
+OK_STEP = '{"hamiltonian": [[1, 0], [0, 1]], "duration": 1}'
+NAN_STEP = '{"hamiltonian": [[1, 0], [0, NaN]], "duration": 1}'
+STRING_STEP = '{"hamiltonian": [[1, 0], [0, "x"]], "duration": 1}'
+ENTRY_RULE = "must be a finite number or an [re, im] pair"
+
+
+@pytest.mark.parametrize("steps, message", [
+    ((OK_STEP, NAN_STEP, STRING_STEP, "7"), f"field 'steps'[1].hamiltonian[1] {ENTRY_RULE}"),
+    ((OK_STEP, STRING_STEP, NAN_STEP), f"field 'steps'[1].hamiltonian[1] {ENTRY_RULE}"),
+    ((OK_STEP, "7", NAN_STEP), "field 'steps'[1] must be an object"),
+    ((NAN_STEP, '{"duration": 1}'), f"field 'steps'[0].hamiltonian[1] {ENTRY_RULE}"),
+], ids=["nan-then-string", "string-then-nan", "object-then-nan", "nan-then-missing-key"])
+def test_first_pattern_fault_in_document_order_is_reported(steps, message, capsys):
+    # The entries of all steps are converted together, but each fault is
+    # reported in document order, as reading entry by entry would.
+    pattern = '{"steps": [%s]}' % ", ".join(steps)
+    assert run_cli("step-floquet", "--pattern", pattern) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_osc_spectrum_is_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

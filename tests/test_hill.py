@@ -146,6 +146,20 @@ def test_identity_is_parabolic_with_trivial_loop():
     assert res.loop_order == 1
 
 
+def _loop_order_by_matrix_power(m, n_max=64):
+    return next((n for n in range(1, n_max + 1) if loop_deviation(m, n) < 1e-8), None)
+
+
+def test_loop_orders_of_rotations_and_shears_are_those_of_matrix_power():
+    mats = [rotation2(TWO_PI * k / n) for n in range(1, 65) for k in range(n)]
+    for s in (0.0, 1e-12, 1e-10, 1.5e-10, 1.6e-10, 1e-9, 1e-8, 1e-3, 1.0):
+        shear = np.array([[1.0, s], [0.0, 1.0]])
+        mats += [shear, shear.T, -shear]
+    orders = [floquet_result(m, 1.0).loop_order for m in mats]
+    assert orders == [_loop_order_by_matrix_power(m) for m in mats]
+    assert orders[:4] == [1, 1, 2, 1] and orders.count(None) > 0
+
+
 def test_hyperbolic_matrix_has_no_frequency_or_loop():
     res = floquet_result(np.diag([2.0, 0.5]), 1.0)
     assert res.stability == "hyperbolic"

@@ -178,6 +178,86 @@ def test_step_evolve_beyond_one_period():
     assert_allclose(step_evolve(pattern, 1.3).matrix, expected, atol=1e-13)
 
 
+@st.composite
+def step_patterns(draw):
+    """Hermitian patterns of d = 2..5 and 1..60 steps at scales 0.01 to 100."""
+    dim = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    taus = draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n))
+    return StepPattern(tuple((s * random_hermitian(rng, dim), tau) for s, tau in zip(scales, taus)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(pattern=step_patterns())
+def test_step_propagator_is_the_chain_of_single_step_exponentials(pattern):
+    steps = [expm_hermitian(h, tau).matrix for h, tau in pattern.steps]
+    assert np.array_equal(step_propagator(pattern).matrix, chain_matmul(steps))
+
+
+def _sequential_step_evolve(pattern, t):
+    n_full, left = divmod(t, pattern.period)
+    u = np.linalg.matrix_power(step_propagator(pattern).matrix, int(n_full))
+    for h, tau in pattern.steps:
+        if left <= 0:
+            break
+        dt = min(tau, left)
+        u = expm_hermitian(h, dt).matrix @ u
+        left -= dt
+    return u
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_step_evolve_matches_the_sequential_remainder_product(dim):
+    rng = np.random.default_rng(dim)
+    pattern = StepPattern(tuple((random_hermitian(rng, dim), float(tau))
+                                for tau in rng.uniform(0.1, 0.5, 7)))
+    edges = np.cumsum(pattern.durations)
+    for t in [0.0, *edges, *(edges + pattern.period), *rng.uniform(0.0, 3 * pattern.period, 8)]:
+        got = step_evolve(pattern, t).matrix
+        assert np.abs(got - _sequential_step_evolve(pattern, float(t))).max() <= 1e-13
+
+
+def test_step_pattern_keeps_its_stack_and_durations():
+    pattern = StepPattern(((SIGMA_X, 0.25), (SIGMA_Z, 1), (SIGMA_Y, 0.5)))
+    assert pattern.hamiltonians.shape == (3, 2, 2)
+    assert pattern.durations.tolist() == [0.25, 1.0, 0.5]
+    for (h, tau), stacked, duration in zip(pattern.steps, pattern.hamiltonians,
+                                           pattern.durations):
+        assert h.tobytes() == stacked.tobytes() and tau == duration
+    assert pattern.period == 1.75
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_expm_hermitian_of_a_stack_is_each_matrix_alone(dim):
+    rng = np.random.default_rng(dim)
+    hs = np.array([random_hermitian(rng, dim) for _ in range(5)])
+    taus = rng.uniform(0.1, 2.0, 5)
+    steps = expm_hermitian(hs, taus)
+    assert isinstance(steps, np.ndarray) and steps.shape == (5, dim, dim)
+    for h, tau, step in zip(hs, taus, steps):
+        assert np.array_equal(step, expm_hermitian(h, float(tau)).matrix)
+    for h, step in zip(hs, expm_hermitian(hs, 0.7)):
+        assert np.array_equal(step, expm_hermitian(h, 0.7).matrix)
+
+
+@pytest.mark.parametrize("make, t, error, message", [
+    (lambda hs: hs + np.triu(np.ones(2), 1), 1.0, ValueError, "matrix is not Hermitian"),
+    (lambda hs: hs, [1.0, 2.0], ValueError, r"t must be finite, one duration per matrix"),
+    (lambda hs: hs, [1.0, 2.0, math.nan], ValueError, "t must be finite"),
+    (lambda hs: hs, math.inf, ValueError, "t must be finite"),
+    (lambda hs: hs[:, :1], 1.0, ValueError, "expected a square matrix"),
+    (lambda hs: 1e300 * hs, [1.0, 1e10, 1.0], FloatingPointError,
+     "a step exponent H t overflows"),
+], ids=["non-hermitian", "short-durations", "nan-duration", "inf-duration", "not-square",
+        "overflow"])
+def test_expm_hermitian_of_a_stack_checks_it_once(make, t, error, message):
+    hs = np.array([SIGMA_X, SIGMA_Z, SIGMA_Y])
+    with pytest.raises(error, match=message):
+        expm_hermitian(make(hs), t)
+
+
 # ---------- evolve ----------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from floqtools import propagator
 from floqtools import spin_resonance
 from floqtools import (
     SIGMA_X,
@@ -265,3 +266,19 @@ def test_limit_formulas_bracket_the_spacing():
         strong_rel.append(abs(spacing - (2.0 * ratio - 1.0)) / spacing)
     assert np.all(np.diff(weak_rel) > 0)      # error shrinks toward weak coupling
     assert np.all(np.diff(strong_rel) < 0)    # error shrinks toward strong coupling
+
+
+@pytest.mark.parametrize("route", ["half", "composed"])
+def test_drift_names_the_per_period_step_count(route, monkeypatch):
+    # 7 steps per period run as 4 over half a period; whichever product
+    # fails the check, the message names 8 and that product's defect.
+    params = SpinParams(1.0, 0.4, 1.0)
+    v = evolve(lambda t: spin_instantaneous(params, t), 0.5 * params.period, 4).matrix
+    product = v if route == "half" else v.T @ v
+    monkeypatch.setattr(propagator, "_UNITARY_TOL",
+                        0.0 if route == "half" else propagator.unitarity_defect(v))
+    message = (f"the product of 8 steps drifts from unitary "
+               f"(defect {propagator.unitarity_defect(product):.3e})")
+    with pytest.raises(FloatingPointError) as excinfo:
+        spin_resonance._period_propagator(params, 7)
+    assert str(excinfo.value) == message

@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from floqtools import cli  # noqa: E402
 
@@ -43,6 +44,11 @@ PHASE_OVERFLOW = ["fields-probe", "--amplitude", "1", "--omega", "1e10",
                   "--x", "0.1", "0.2", "0.3", "--t", "1e300"]
 SPIN_POINT = ["spin-spectrum", "--mu", "1", "--B", "0.5", "--omega", "1"]
 HUGE = "1" + "0" * 5000  # a number of more digits than int() converts from text
+BIG = "1" + "0" * 400  # an integer that int() reads but a float cannot hold
+# Matrix entries that _load_pattern rejects, naming the row they are in.
+BAD_ENTRIES = [("bool", "true"), ("nan", "NaN"), ("big-integer", BIG),
+               ("pair-with-bool", "[1, true]"), ("triple", "[1, 2, 3]"), ("string", '"1"'),
+               ("pair-with-big-integer", f"[{BIG}, 0]")]
 
 
 def osc_spectrum(profile):
@@ -74,7 +80,8 @@ def step_floquet(hamiltonian, duration):
 # -0.0 to 0.0. The last seven are fields-probe runs whose wavenumber,
 # offsets, amplitude or phase overflow, a loop search at an angle too large
 # for a naive reduction, and a spin product of 2^19 steps whose rounding
-# drifts past the unitarity check.
+# drifts past the unitarity check. Last, the seven entry faults of
+# BAD_ENTRIES in a step-floquet pattern, and a 64-step pattern at d = 3.
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -135,6 +142,11 @@ EXTRA = [
                                   "--bracket", "0.5", "3.0"]),
     ("spin-spectrum/drift", ["spin-spectrum", "--mu", "1", "--B", "1000", "--omega", "1",
                              "--steps", "524288"]),
+] + [
+    (f"step-floquet/entry-{name}", step_floquet(f"[[{entry}, 0], [0, 1]]", "1"))
+    for name, entry in BAD_ENTRIES
+] + [
+    ("step-floquet/d3-64-steps", workloads._pattern_op(np.random.default_rng(64), 3, 64).argv),
 ]
 
 
