@@ -6,7 +6,6 @@ loop is a drive whose monodromy power returns to the identity.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -84,8 +83,8 @@ def floquet_result(m, t_period, n_max=64):
 
     The stability class comes from classify_trace and the Floquet frequency
     from floquet_angle(tr) / T, both absent for a hyperbolic monodromy;
-    loop_order is the least n <= n_max with ||M^n - 1||_max below 1e-8,
-    absent otherwise.
+    loop_order is the least n <= n_max with loop_deviation(M, n) below 1e-8,
+    absent otherwise, so it is the order osc-loop-find reports.
     """
     n_max = count(n_max, "n_max", 0)
     m = np.asarray(m, dtype=float)
@@ -99,14 +98,12 @@ def floquet_result(m, t_period, n_max=64):
     # NumPy scalars, so that an overflow still raises under raise_on_overflow.
     tr = float(0.0 + m[0, 0] + m[1, 1])
     stability = classify_trace(tr)
-    omega_f = None
-    loop_order = None
+    omega_f = loop_order = None
     if stability != HYPERBOLIC:
         omega_f = floquet_angle(tr) / t_period
-        if n_max:  # M, M^2, ... one product at a time, each closed as loop_deviation(M^n, 1)
-            powers = itertools.accumulate(itertools.repeat(m, n_max), np.matmul)
-            loop_order = next((n for n, power in enumerate(powers, 1)
-                               if loop_deviation(power, 1) < _LOOP_TOL), None)
+        if n_max:
+            loop_order = next((n for n in range(1, n_max + 1)
+                               if loop_deviation(m, n) < _LOOP_TOL), None)
     return FloquetResult(stability, tr, omega_f, loop_order)
 
 

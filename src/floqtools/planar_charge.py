@@ -25,6 +25,8 @@ SYMPLECTIC_FORM_4 = np.block([
     [-np.eye(2), np.zeros((2, 2))],
 ])
 
+_BRACKET = 0.05  # polish_loop_beta1 searches beta1 (1 -+ _BRACKET) for the loop angle
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -129,7 +131,7 @@ def stability_family(omega):
     return lambda alpha: DriveProfile.sinusoid(finite_product(2.0, alpha, omega), omega)
 
 
-def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=0.05):
+def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None):
     """Refine the sine amplitude of an offset-sinusoid drive onto an exact loop.
 
     Holding beta0 fixed, the radial Floquet angle is pushed onto the nearest
@@ -143,7 +145,7 @@ def polish_loop_beta1(beta0, beta1, omega, n_periods, n_steps=None, rel_bracket=
         angle = hill.floquet_angle(float(np.trace(hill.monodromy(family(beta1), n_steps))))
     k = min(max(round(angle * n_periods / TWO_PI), 1), (n_periods - 1) // 2)
     target = k * TWO_PI / n_periods
-    bracket = (finite_product(beta1, 1.0 - rel_bracket), finite_product(beta1, 1.0 + rel_bracket))
+    bracket = (finite_product(beta1, 1.0 - _BRACKET), finite_product(beta1, 1.0 + _BRACKET))
     return hill._trace_root(family, 2.0 * math.cos(target), bracket, n_steps, 1e-10,
                             "loop angle crossing")
 

@@ -46,8 +46,8 @@ def _require_hermitian(defect, m):
     makes the scale infinite.
     """
     # Every scale is at least 1, so a defect within the bare tolerance passes
-    # without the per-matrix maxima.
-    if not defect.max() <= 0.5 * _HERMITIAN_TOL:
+    # without the per-matrix maxima; an empty stack has no defect.
+    if not defect.max(initial=0.0) <= 0.5 * _HERMITIAN_TOL:
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         worst = defect.reshape(scale.shape + (-1,)).max(axis=-1)
         failing = worst[~((worst <= 0.5 * _HERMITIAN_TOL * scale) & (worst < math.inf))]
@@ -131,7 +131,8 @@ class Unitary:
 class StepPattern:
     """Piecewise-constant Hamiltonian: (H_i, tau_i) applied in listed order.
 
-    hamiltonians is the checked, symmetrized (n, d, d) stack, durations the (n,) taus.
+    hamiltonians is the checked, symmetrized (n, d, d) stack and durations the
+    (n,) taus, both read-only; period is the taus' sum.
     """
 
     steps: tuple
@@ -151,14 +152,13 @@ class StepPattern:
                 raise ValueError(f"step {i}: dimension {len(m)} does not match {len(mats[0])}")
             mats.append(m)
             taus.append(float(tau))
-        object.__setattr__(self, "hamiltonians", _hermitian(np.stack(mats)))
-        object.__setattr__(self, "durations", np.array(taus))
-        object.__setattr__(self, "steps", tuple(zip(self.hamiltonians, taus)))
-
-    @property
-    def period(self):
+        hamiltonians, durations = _hermitian(np.stack(mats)), np.array(taus)
+        hamiltonians.flags.writeable = durations.flags.writeable = False
+        object.__setattr__(self, "hamiltonians", hamiltonians)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "steps", tuple(zip(hamiltonians, taus)))
         # A sequential sum: np.sum adds pairwise, which rounds differently.
-        return sum(tau for _, tau in self.steps)
+        object.__setattr__(self, "period", sum(taus))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +226,8 @@ def expm_hermitian(h, t):
     """exp(-i t H), in closed form at d = 2 and through eigh above; unitary up to roundoff.
 
     An (n, d, d) stack, with t one duration or one per matrix, gives the array
-    of its steps from one Hermiticity check and one batched exponential.
-    FloatingPointError when an exponent H t overflows from finite inputs.
+    of its steps (none for a (0, d, d) stack) from one Hermiticity check and
+    one batched exponential. FloatingPointError when H t overflows.
     """
     m = np.asarray(h, dtype=complex)
     hs = _hermitian(_square(m, 3)) if m.ndim == 3 else as_hermitian(m)[None]
@@ -242,34 +242,34 @@ def expm_hermitian(h, t):
 
 def step_propagator(pattern):
     """Ordered product exp(-i tau_n H_n) ... exp(-i tau_1 H_1) over one period."""
-    if not isinstance(pattern, StepPattern):
-        pattern = StepPattern(tuple(pattern))
-    return Unitary(chain_matmul(expm_hermitian(pattern.hamiltonians, pattern.durations)))
+    pattern = pattern if isinstance(pattern, StepPattern) else StepPattern(tuple(pattern))
+    u = chain_matmul(expm_hermitian(pattern.hamiltonians, pattern.durations))
+    return product_unitary(u, len(pattern.durations))
 
 
 def step_evolve(pattern, t):
     """U(t, 0) of a periodically repeated step pattern.
 
-    Whole periods use the one-period propagator; the step straddling t is
-    split exactly. divmod gives the exact remainder of t in [0, T).
+    Whole periods are a power of the one-period propagator, and the step
+    straddling t is split at the exact remainder divmod(t, T) in [0, T).
+    Overflow and drift from unitary raise FloatingPointError.
     """
-    if not isinstance(pattern, StepPattern):
-        pattern = StepPattern(tuple(pattern))
+    pattern = pattern if isinstance(pattern, StepPattern) else StepPattern(tuple(pattern))
     require_finite(t=t)
     t = float(t)
     if t < 0:
         raise ValueError("t must be non-negative")
     n_full, remainder = divmod(t, pattern.period)
-    u = np.linalg.matrix_power(step_propagator(pattern).matrix, int(n_full))
+    one_period = step_propagator(pattern).matrix
+    with raise_on_overflow("the power of the one-period propagator overflows"):
+        u = np.linalg.matrix_power(one_period, int(n_full))
     dts, left = [], remainder
     for tau in pattern.durations.tolist():
-        if left <= 0:
-            break
-        dts.append(min(tau, left))
-        left -= dts[-1]
-    if dts:
-        u = chain_matmul([u, *expm_hermitian(pattern.hamiltonians[:len(dts)], dts)])
-    return Unitary(u)
+        if left > 0:
+            dts.append(min(tau, left))
+            left -= dts[-1]
+    u = chain_matmul([u, *expm_hermitian(pattern.hamiltonians[:len(dts)], dts)])
+    return product_unitary(u, int(n_full) * len(pattern.durations) + len(dts))
 
 
 def _sample_hamiltonian(h, times):

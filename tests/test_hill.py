@@ -155,6 +155,13 @@ def test_loop_orders_of_rotations_and_shears_are_those_of_matrix_power():
     for s in (0.0, 1e-12, 1e-10, 1.5e-10, 1.6e-10, 1e-9, 1e-8, 1e-3, 1.0):
         shear = np.array([[1.0, s], [0.0, 1.0]])
         mats += [shear, shear.T, -shear]
+    # Rotations by 2 pi k / n conjugated by random, at times ill-conditioned,
+    # matrices: sequential powers M, M^2, ... round differently from
+    # matrix_power's squarings, and two of these 400 fall on either side of 1e-8.
+    rng = np.random.default_rng(1)
+    for k, n in [(7, 9), (1, 5), (3, 8), (5, 12), (2, 7)] * 80:
+        p = rng.uniform(-1e2, 1e2, (2, 2))
+        mats.append(p @ rotation2(TWO_PI * k / n) @ np.linalg.inv(p))
     orders = [floquet_result(m, 1.0).loop_order for m in mats]
     assert orders == [_loop_order_by_matrix_power(m) for m in mats]
     assert orders[:4] == [1, 1, 2, 1] and orders.count(None) > 0

@@ -219,6 +219,28 @@ def test_step_evolve_matches_the_sequential_remainder_product(dim):
         assert np.abs(got - _sequential_step_evolve(pattern, float(t))).max() <= 1e-13
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_step_evolve_over_whole_periods_is_the_power_of_the_period_propagator(dim):
+    rng = np.random.default_rng(dim)
+    pattern = StepPattern(tuple((random_hermitian(rng, dim), tau) for tau in (0.25, 1.0, 0.5)))
+    u_t = step_propagator(pattern).matrix
+    for n in (0, 1, 2, 7, 1000):
+        assert divmod(n * pattern.period, pattern.period) == (n, 0.0)
+        got = step_evolve(pattern, n * pattern.period).matrix
+        assert np.array_equal(got, np.linalg.matrix_power(u_t, n))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("periods, message", [
+    (1e6, r"^the product of 2000000 steps drifts from unitary \(defect \d\.\d{3}e-10\)$"),
+    (1e20, "^result is not finite: the power of the one-period propagator overflows$"),
+], ids=["drift", "overflow"])
+def test_step_evolve_over_many_periods_raises_floating_point_error(periods, message):
+    pattern = StepPattern(((SIGMA_Z, 1.0), (SIGMA_X, 0.5)))
+    with pytest.raises(FloatingPointError, match=message):
+        step_evolve(pattern, periods * pattern.period)
+
+
 def test_step_pattern_keeps_its_stack_and_durations():
     pattern = StepPattern(((SIGMA_X, 0.25), (SIGMA_Z, 1), (SIGMA_Y, 0.5)))
     assert pattern.hamiltonians.shape == (3, 2, 2)
@@ -227,6 +249,15 @@ def test_step_pattern_keeps_its_stack_and_durations():
                                            pattern.durations):
         assert h.tobytes() == stacked.tobytes() and tau == duration
     assert pattern.period == 1.75
+    # Both arrays are read-only, so the period and propagator read one pattern.
+    u = step_propagator(pattern).matrix
+    for write in (lambda: pattern.hamiltonians.__setitem__(0, SIGMA_Z),
+                  lambda: pattern.durations.__setitem__(0, 3.0),
+                  lambda: pattern.steps[0][0].__setitem__(0, 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert pattern.period == 1.75
+    assert np.array_equal(step_propagator(pattern).matrix, u)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -240,6 +271,8 @@ def test_expm_hermitian_of_a_stack_is_each_matrix_alone(dim):
         assert np.array_equal(step, expm_hermitian(h, float(tau)).matrix)
     for h, step in zip(hs, expm_hermitian(hs, 0.7)):
         assert np.array_equal(step, expm_hermitian(h, 0.7).matrix)
+    for t in (0.7, np.zeros(0)):
+        assert expm_hermitian(hs[:0], t).shape == (0, dim, dim)
 
 
 @pytest.mark.parametrize("make, t, error, message", [
