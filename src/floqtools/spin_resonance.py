@@ -17,10 +17,13 @@ from ._linops import TWO_PI, finite_product, reduce_to_zone, require_finite, res
 from .propagator import _DriftError, epicycle, evolve, product_unitary, quasienergies
 
 # Most steps per period the automatic rule of spin_spacing_from_propagator
-# and verify_factorization may choose. It bounds run time, about 0.2 s for a
-# spin_spacing_from_propagator point on a 2-core Xeon; evolve's memory does
-# not grow with the step count. The rule reaches it near mu B / omega = 6.6e4.
+# and verify_factorization may choose. It bounds run time, about 0.1-0.15 s
+# for a spin_spacing_from_propagator point on a 2-core Xeon; evolve's memory
+# does not grow with the step count. The rule reaches it near mu B / omega = 6.6e4.
 _MAX_AUTO_STEPS = 2 ** 20
+
+# sz A sz of a 2x2 matrix A is A with its off-diagonal entries negated.
+_SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -142,27 +145,31 @@ def _auto_steps(params):
 
 
 def _period_propagator(params, n_steps=None):
-    """U(T) = V^T V with V = U(T/2, 0) over ceil(n_steps / 2) steps.
+    """U(T) = V^T V, V = U(T/2, 0) = sz W^T sz W, W = U(T/4, 0) over ceil(n_steps / 4) steps.
 
-    The drive is time-reversal symmetric, H(T - t) = H(t)^T: its field angle
-    mirrors about T/2. That is a property of the drive, not of the closed
-    form. As 1 - c1 = c2, each CF4 step of the second half is the transpose
-    of its mirror step in the first, so V^T V is the whole-period product at
-    2 ceil(n_steps / 2) steps up to rounding; a drift of V or V^T V names that count.
+    The drive has two mirror symmetries, both properties of the drive, not
+    of the closed form: its field angle mirrors about T/2, so H(T - t) =
+    H(t)^T, and about T/4, so H(T/2 - t) = sz H(t)^T sz. As 1 - c1 = c2,
+    each CF4 step of [T/4, T/2] is sz (mirror step in [0, T/4])^T sz, and
+    each step of [T/2, T] the transpose of its mirror step in [0, T/2]. So
+    V^T V is the whole-period product at 4 ceil(n_steps / 4) steps up to
+    rounding; the sz conjugation only flips the signs of the off-diagonal
+    entries, so it is exact. A drift of W or V^T V names that count.
     """
     per_period = _auto_steps(params) if n_steps is None else resolve_steps(n_steps)
-    half = -(-per_period // 2)
+    quarter = -(-per_period // 4)
     try:
-        v = evolve(lambda s: spin_instantaneous(params, s), 0.5 * params.period, half).matrix
+        w = evolve(lambda s: spin_instantaneous(params, s), 0.25 * params.period, quarter).matrix
     except _DriftError as exc:
-        raise _DriftError(2 * half, exc.args[1]) from None
-    return product_unitary(v.T @ v, 2 * half)
+        raise _DriftError(4 * quarter, exc.args[1]) from None
+    v = (w.T * _SZ_SIGNS) @ w
+    return product_unitary(v.T @ v, 4 * quarter)
 
 
 def spin_spacing_from_propagator(params, n_steps=None):
     """Resonance spacing recovered from one integrated drive period.
 
-    n_steps counts steps per period, an odd count rounded up to even
+    n_steps counts steps per period, rounded up to a multiple of 4
     (_period_propagator). The one-period propagator determines quasienergies
     only modulo omega, so the measurable content is the zone-folded gap; the
     whole multiple of omega is restored from the closed-form branch before

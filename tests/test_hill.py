@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,8 +147,25 @@ def test_identity_is_parabolic_with_trivial_loop():
     assert res.loop_order == 1
 
 
-def _loop_order_by_matrix_power(m, n_max=64):
+def _loop_order_by_deviation(m, n_max=64):
     return next((n for n in range(1, n_max + 1) if loop_deviation(m, n) < 1e-8), None)
+
+
+def _loop_order_by_matrix_power(m, n_max=64):
+    return next((n for n in range(1, n_max + 1)
+                 if np.abs(np.linalg.matrix_power(m, n) - np.eye(2)).max() < 1e-8), None)
+
+
+def _exact_loop_order(m, n_max=64):
+    """Least n with ||M^n - 1||_max < 1e-8 for the exact powers of M's float entries."""
+    a, b, c, d = map(Fraction, np.ravel(m).tolist())
+    p00, p01, p10, p11 = a, b, c, d
+    for n in range(1, n_max + 1):
+        if max(abs(p00 - 1), abs(p01), abs(p10), abs(p11 - 1)) < Fraction(1e-8):
+            return n
+        p00, p01, p10, p11 = (a * p00 + b * p10, a * p01 + b * p11,
+                              c * p00 + d * p10, c * p01 + d * p11)
+    return None
 
 
 def test_loop_orders_of_rotations_and_shears_are_those_of_matrix_power():
@@ -155,16 +173,34 @@ def test_loop_orders_of_rotations_and_shears_are_those_of_matrix_power():
     for s in (0.0, 1e-12, 1e-10, 1.5e-10, 1.6e-10, 1e-9, 1e-8, 1e-3, 1.0):
         shear = np.array([[1.0, s], [0.0, 1.0]])
         mats += [shear, shear.T, -shear]
-    # Rotations by 2 pi k / n conjugated by random, at times ill-conditioned,
-    # matrices: sequential powers M, M^2, ... round differently from
-    # matrix_power's squarings, and two of these 400 fall on either side of 1e-8.
-    rng = np.random.default_rng(1)
-    for k, n in [(7, 9), (1, 5), (3, 8), (5, 12), (2, 7)] * 80:
-        p = rng.uniform(-1e2, 1e2, (2, 2))
-        mats.append(p @ rotation2(TWO_PI * k / n) @ np.linalg.inv(p))
     orders = [floquet_result(m, 1.0).loop_order for m in mats]
     assert orders == [_loop_order_by_matrix_power(m) for m in mats]
+    assert orders == [_loop_order_by_deviation(m) for m in mats]
     assert orders[:4] == [1, 1, 2, 1] and orders.count(None) > 0
+    # Rotations by 2 pi k / n conjugated by random matrices, and by ones of
+    # condition number 1e3: there M^n - 1 is rounding alone, near 1e-8, and
+    # sequential powers M, M^2, ... round differently from matrix_power's
+    # squarings. Judged against exact powers, the sequential verdict is never
+    # wrong on the first set and is wrong on 21 of the second, squaring on 2 and 52.
+    rng = np.random.default_rng(1)
+    conjugated = []
+    for k, n in [(7, 9), (1, 5), (3, 8), (5, 12), (2, 7)] * 80:
+        p = rng.uniform(-1e2, 1e2, (2, 2))
+        conjugated.append(p @ rotation2(TWO_PI * k / n) @ np.linalg.inv(p))
+    ill_conditioned = []
+    for k, n in [(7, 9), (1, 5), (3, 8), (5, 12), (2, 7)] * 20:
+        a, b = rng.uniform(0, TWO_PI, 2)
+        p = rotation2(a) @ np.diag([1.0, 1e-3]) @ rotation2(b)
+        ill_conditioned.append(p @ rotation2(TWO_PI * k / n) @ np.linalg.inv(p))
+    wrong = {}
+    for name, group in (("conjugated", conjugated), ("ill_conditioned", ill_conditioned)):
+        orders = [floquet_result(m, 1.0).loop_order for m in group]
+        assert orders == [_loop_order_by_deviation(m) for m in group]
+        exact = [_exact_loop_order(m) for m in group]
+        wrong[name] = (sum(o != e for o, e in zip(orders, exact)),
+                       sum(_loop_order_by_matrix_power(m) != e for m, e in zip(group, exact)))
+    assert wrong["conjugated"][0] == 0
+    assert wrong["ill_conditioned"][0] < wrong["ill_conditioned"][1]
 
 
 def test_hyperbolic_matrix_has_no_frequency_or_loop():
@@ -179,6 +215,18 @@ def test_floquet_result_trace_overflow_raises_without_a_warning():
         warnings.simplefilter("error")
         with raise_on_overflow("the trace overflows"):
             floquet_result([[1e308, 0.0], [0.0, 1e308]], 1.0)
+
+
+def test_an_overflowing_power_raises_without_a_warning():
+    # Trace 0 and M^2 = 0 in exact arithmetic, but 1e200 * 1e200 overflows.
+    m = [[1e200, 1e200], [-1e200, -1e200]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="a power of the monodromy overflows"):
+            loop_deviation(m, 2)
+        with pytest.raises(FloatingPointError, match="a power of the monodromy overflows"):
+            floquet_result(m, 1.0)
+        assert floquet_result(m, 1.0, n_max=0).stability == "elliptic"
 
 
 def test_loop_deviation_accepts_a_nested_list():

@@ -8,6 +8,7 @@ from floqtools import propagator
 from floqtools import spin_resonance
 from floqtools import (
     SIGMA_X,
+    SIGMA_Z,
     SpinParams,
     evolve,
     quasienergies,
@@ -71,6 +72,15 @@ def test_instantaneous_is_time_reversal_symmetric():
     mirrored = spin_instantaneous(params, params.period - t)
     transposed = spin_instantaneous(params, t).swapaxes(-1, -2)
     assert np.abs(mirrored - transposed).max() <= 1e-15 * abs(params.coupling)
+
+
+def test_instantaneous_is_mirror_symmetric_about_a_quarter_period():
+    # H(T/2 - t) = sz H(t)^T sz, the symmetry that _period_propagator composes U(T/2) from.
+    params = SpinParams(-0.8, 2.5, 1.7)
+    t = np.linspace(0.0, 0.5 * params.period, 257)
+    mirrored = spin_instantaneous(params, 0.5 * params.period - t)
+    conjugated = SIGMA_Z @ spin_instantaneous(params, t).swapaxes(-1, -2) @ SIGMA_Z
+    assert np.abs(mirrored - conjugated).max() <= 1e-15 * abs(params.coupling)
 
 
 def test_instantaneous_spectrum_is_time_independent():
@@ -185,7 +195,7 @@ def test_automatic_step_count_is_capped_before_anything_is_evolved(monkeypatch):
     monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
     with pytest.raises(RuntimeError, match="evolve called"):
         spin_spacing_from_propagator(SpinParams(1.0, 6.6e4, 1.0))
-    assert 2 ** 19 < 2 * asked[0] <= 2 ** 20
+    assert 2 ** 19 < 4 * asked[0] <= 2 ** 20
     with pytest.raises(ValueError, match=r"mu B / omega = 67000 needs 1057721 steps"):
         spin_spacing_from_propagator(SpinParams(1.0, 6.7e4, 1.0))
     assert len(asked) == 1
@@ -201,7 +211,7 @@ def test_automatic_step_count_has_a_floor_of_1024(monkeypatch):
     monkeypatch.setattr(spin_resonance, "evolve", no_evolve)
     with pytest.raises(RuntimeError, match="evolve called"):
         spin_spacing_from_propagator(SpinParams(1.0, 1e-3, 1.0))
-    assert asked == [512]
+    assert asked == [256]
 
 
 def test_automatic_step_count_holds_the_folded_gap_error():
@@ -228,21 +238,31 @@ def test_propagator_route_folded_gap():
         assert err < 1e-7 * omega + 1e-11 * exact, f"ratio {ratio}: error {err}"
 
 
-@pytest.mark.parametrize("ratio", [1e-3, 0.25, 5.0, 1e3])
-def test_half_period_route_is_the_whole_period_product(ratio):
+@pytest.mark.parametrize("ratio", [1e-3, 0.25, 5.0, 7.0, 1e3])
+def test_quarter_period_route_is_the_whole_period_product(ratio):
+    # The automatic counts at 7 and 1e3 are 1094 and 45167, not multiples of 4.
     params = SpinParams(1.0, ratio, 1.0)
     u = spin_resonance._period_propagator(params).matrix
-    n_steps = 2 * -(-spin_resonance._auto_steps(params) // 2)
+    n_steps = 4 * -(-spin_resonance._auto_steps(params) // 4)
     whole = evolve(lambda t: spin_instantaneous(params, t), params.period, n_steps).matrix
     assert np.abs(u - whole).max() <= 1e-11
     assert np.abs(u - u.T).max() <= 1e-12
 
 
-def test_odd_step_count_is_rounded_up_to_even():
+def test_step_count_is_rounded_up_to_a_multiple_of_4():
     params = SpinParams(1.0, 0.4, 1.0)
-    for n in (1, 7, 4097):
+    for n in (1, 5, 7, 4097, 4098, 4099):
         assert np.array_equal(spin_resonance._period_propagator(params, n).matrix,
-                              spin_resonance._period_propagator(params, n + 1).matrix)
+                              spin_resonance._period_propagator(params, 4 * -(-n // 4)).matrix)
+
+
+def test_composed_half_period_is_mirror_symmetric():
+    params = SpinParams(1.0, 3.0, 1.0)
+    h = lambda t: spin_instantaneous(params, t)  # noqa: E731
+    w = evolve(h, 0.25 * params.period, 512).matrix
+    v = SIGMA_Z @ w.T @ SIGMA_Z @ w
+    assert np.abs(SIGMA_Z @ v.T @ SIGMA_Z - v).max() <= 1e-15
+    assert np.abs(v - evolve(h, 0.5 * params.period, 1024).matrix).max() <= 1e-12
 
 
 def test_one_period_quasienergies_carry_the_spinor_sign():
@@ -268,15 +288,16 @@ def test_limit_formulas_bracket_the_spacing():
     assert np.all(np.diff(strong_rel) < 0)    # error shrinks toward strong coupling
 
 
-@pytest.mark.parametrize("route", ["half", "composed"])
+@pytest.mark.parametrize("route", ["quarter", "composed"])
 def test_drift_names_the_per_period_step_count(route, monkeypatch):
-    # 7 steps per period run as 4 over half a period; whichever product
+    # 7 steps per period run as 2 over a quarter period; whichever product
     # fails the check, the message names 8 and that product's defect.
     params = SpinParams(1.0, 0.4, 1.0)
-    v = evolve(lambda t: spin_instantaneous(params, t), 0.5 * params.period, 4).matrix
-    product = v if route == "half" else v.T @ v
+    w = evolve(lambda t: spin_instantaneous(params, t), 0.25 * params.period, 2).matrix
+    v = SIGMA_Z @ w.T @ SIGMA_Z @ w
+    product = w if route == "quarter" else v.T @ v
     monkeypatch.setattr(propagator, "_UNITARY_TOL",
-                        0.0 if route == "half" else propagator.unitarity_defect(v))
+                        0.0 if route == "quarter" else propagator.unitarity_defect(w))
     message = (f"the product of 8 steps drifts from unitary "
                f"(defect {propagator.unitarity_defect(product):.3e})")
     with pytest.raises(FloatingPointError) as excinfo:
