@@ -102,27 +102,6 @@ def raise_on_overflow(what):
         raise FloatingPointError(f"result is not finite: {what}") from None
 
 
-def _matmul2(a, b):
-    """a @ b for two (n, d, d) stacks; 2x2 ones entry by entry, entry-major.
-
-    A 2x2 product is written into a new contiguous (2, 2, n) array, one
-    entry row a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j] at a time, read
-    from a and b where they lie, and returned as its (n, 2, 2) view, whose
-    transpose(1, 2, 0) is that array again. At 2x2 this is several times
-    faster than np.matmul, whose per-matrix calls dominate; larger stacks
-    go through np.matmul.
-    """
-    if a.shape[1:] != (2, 2):
-        return np.matmul(a, b)
-    out = np.empty((2, 2, a.shape[0]), np.result_type(a, b))
-    for i in range(2):
-        for j in range(2):
-            row = out[i, j]
-            np.multiply(a[:, i, 0], b[:, 0, j], out=row)
-            row += a[:, i, 1] * b[:, 1, j]
-    return out.transpose(2, 0, 1)
-
-
 def chain_matmul(mats):
     """Time-ordered product mats[-1] @ ... @ mats[0] by pairwise reduction.
 
@@ -130,10 +109,9 @@ def chain_matmul(mats):
     which matters for the 10^4..10^5 step chains the integrators produce.
     Each round multiplies neighbours, later by earlier, and carries an odd
     last element. A stack of d > 2 multiplies through np.matmul. A 2x2
-    stack, real or complex, is reduced in the entry-major (2, 2, n) layout
-    with one rule, x[i, 0] y[0, j] + x[i, 1] y[1, j] per entry: the first
-    round reads the stack where it lies (_matmul2) and every later one is
-    _entry_product on the layout.
+    stack, real or complex, is reduced by _entry_product on its entry-major
+    (2, 2, n) view, the layout every 2x2 producer writes; a C-order stack
+    gives the same bits, only more slowly.
 
     So a chain may be reduced in aligned blocks: for a power of two
     size = 2^k, chain_matmul of the block products chain_matmul(mats[i:i +
@@ -154,11 +132,7 @@ def chain_matmul(mats):
             head = np.matmul(m[1:even:2], m[0:even:2])
             m = head if even == m.shape[0] else np.concatenate([head, m[-1:]])
         return m[0]
-    n = m.shape[0]
-    even = n - n % 2
-    e = _matmul2(m[1:even:2], m[0:even:2]).transpose(1, 2, 0)
-    if even != n:
-        e = np.concatenate([e, m[-1][:, :, None]], axis=2)
+    e = m.transpose(1, 2, 0)
     while e.shape[2] > 1:
         even = e.shape[2] - (e.shape[2] % 2)
         head = _entry_product(e[:, :, 1:even:2], e[:, :, 0:even:2])
@@ -210,20 +184,21 @@ def oscillator_blocks(betas, dts):
 
     betas == 0 degenerates to the free-motion shear [[1, dt], [0, 1]].
     Every block has unit determinant, so products stay area preserving.
-    The entries are written in place into one C-contiguous betas.shape +
-    (2, 2) array; dts broadcasts to the shape of betas.
+    The entries are written entry-major, into one contiguous (2, 2) +
+    betas.shape array, and returned as its betas.shape + (2, 2) view; dts
+    broadcasts to the shape of betas.
     """
     betas = np.asarray(betas, dtype=float)
     dts = np.asarray(dts, dtype=float)
     phi = betas * dts
     s = np.sin(phi)
-    blocks = np.empty(betas.shape + (2, 2))
-    np.cos(phi, out=blocks[..., 0, 0])
-    blocks[..., 1, 1] = blocks[..., 0, 0]
-    blocks[..., 0, 1] = dts
-    np.divide(s, betas, out=blocks[..., 0, 1], where=betas != 0.0)
-    np.multiply(-betas, s, out=blocks[..., 1, 0])
-    return blocks
+    blocks = np.empty((2, 2) + betas.shape)
+    np.cos(phi, out=blocks[0, 0, ...])
+    blocks[1, 1] = blocks[0, 0]
+    blocks[0, 1] = dts
+    np.divide(s, betas, out=blocks[0, 1, ...], where=betas != 0.0)
+    np.multiply(-betas, s, out=blocks[1, 0, ...])
+    return blocks.transpose(*range(2, blocks.ndim), 0, 1)
 
 
 def rotation2(theta):

@@ -388,7 +388,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         text = _render(args.func(args))
-    except (ProfileError, ValueError) as exc:
+    except (ProfileError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (hill.NoRootError, FloatingPointError) as exc:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import (TWO_PI, _matmul2, chain_matmul, is_finite_number, raise_on_overflow,
-                      reduce_to_zone, require_finite, resolve_steps)
+from ._linops import (TWO_PI, _entry_product, chain_matmul, is_finite_number,
+                      raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -188,8 +188,8 @@ def _expm2(upper, lower, off, dt):
     n = 0 needs no branch. The sine and cosine share one argument, which
     keeps U unitary to roundoff at any |n| dt. a0 and n_z are formed from
     the halves of the diagonal, so an entry near the largest float stays
-    finite. The steps are written entry-major, into a contiguous (2, 2, n)
-    array, and returned as its (n, 2, 2) view, the layout _matmul2 reads.
+    finite. The steps are written entry-major, into the contiguous (2, 2, n)
+    array that is returned.
     """
     nz = 0.5 * upper - 0.5 * lower
     norm = np.hypot(nz, np.abs(off))
@@ -204,19 +204,20 @@ def _expm2(upper, lower, off, dt):
     np.multiply(sin, off.conj(), out=u[0, 1])
     np.multiply(sin, off, out=u[1, 0])
     np.subtract(cos, sin * nz, out=u[1, 1])
-    return u.transpose(2, 0, 1)
+    return u
 
 
 def _expm_batch(hs, dt):
     """exp(-i dt H) for every matrix of an exactly Hermitian (n, d, d) stack, dt scalar or (n,).
 
     Every 2x2 stack, a stack of one included, is exponentiated in closed
-    form by _expm2, read from the real diagonal and H[1, 0] alone. That is
-    exact because every caller passes an exactly symmetrized stack. A stack
-    of d > 2 goes through eigh.
+    form by _expm2, read from the real diagonal and H[1, 0] alone, and
+    returned as the (n, 2, 2) view of its entry-major array. That is exact
+    because every caller passes an exactly symmetrized stack. A stack of
+    d > 2 goes through eigh.
     """
     if hs.shape[1:] == (2, 2):
-        return _expm2(hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0], dt)
+        return _expm2(hs[:, 0, 0].real, hs[:, 1, 1].real, hs[:, 1, 0], dt).transpose(2, 0, 1)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * (dt[:, None] if np.ndim(dt) else dt) * w)
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -302,8 +303,9 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
     most _CHUNK steps are held whatever n_steps is, and, _CHUNK being a
     power of two, the product is bit for bit the chain of all steps at once.
     At d = 2 each step is formed on the three independent entries of H
-    (_hermitian2, _expm2, _matmul2), bit for bit the same steps as on full
-    matrices; larger d uses _hermitian, eigh and np.matmul.
+    (_hermitian2, _expm2, _entry_product) in the entry-major layout, bit for
+    bit the same steps as on full matrices; larger d uses _hermitian, eigh
+    and np.matmul.
 
     Parameters
     ----------
@@ -344,11 +346,11 @@ def evolve(h, t_end, n_steps=None, t_start=0.0):
             rows = _hermitian2(hs)
             first = _expm2(*[_CF4_A1 * x[0::2] + _CF4_A2 * x[1::2] for x in rows], dt)
             second = _expm2(*[_CF4_A2 * x[0::2] + _CF4_A1 * x[1::2] for x in rows], dt)
-        else:
-            hs = _hermitian(hs)
-            first = _expm_batch(_CF4_A1 * hs[0::2] + _CF4_A2 * hs[1::2], dt)
-            second = _expm_batch(_CF4_A2 * hs[0::2] + _CF4_A1 * hs[1::2], dt)
-        return _matmul2(second, first)
+            return _entry_product(second, first).transpose(2, 0, 1)
+        hs = _hermitian(hs)
+        first = _expm_batch(_CF4_A1 * hs[0::2] + _CF4_A2 * hs[1::2], dt)
+        second = _expm_batch(_CF4_A2 * hs[0::2] + _CF4_A1 * hs[1::2], dt)
+        return second @ first
 
     # The first overflow while H(t) is sampled, combined or exponentiated
     # raises here, before a NaN reaches the unitarity check.

@@ -190,6 +190,19 @@ def test_spin_spectrum_non_positive_ratio_bound_exits_2_naming_it(bound, value, 
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("osc-trajectory", "--profile", CONST_PROFILE, "--t-end", "1", "--samples", str(10 ** 17)),
+    ("osc-spectrum", "--profile", CONST_PROFILE) + SPECTRUM_GRID[:-1] + (str(10 ** 17),),
+    ("spin-spectrum", "--mu", "1", "--omega", "1", "--points", str(10 ** 17)),
+], ids=["trajectory-samples", "spectrum-points", "spin-points"])
+def test_grid_too_large_to_allocate_exits_2(argv, capsys):
+    # 10^17 float64 samples (711 PiB) fail at allocation whatever the
+    # overcommit setting; the error is reported like a bad option.
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
+
+
 def test_spin_spectrum_defaults_of_a_point_and_of_a_sweep(capsys):
     assert run_cli("spin-spectrum", "--mu", "1", "--omega", "1", "--steps", "64") == 0
     assert capsys.readouterr().out.splitlines()[1] == "0,0,0"

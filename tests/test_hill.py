@@ -97,7 +97,8 @@ def test_oscillator_blocks_divide_only_where_beta_is_nonzero(betas, dts):
     with warnings.catch_warnings(), raise_on_overflow("the blocks overflow"):
         warnings.simplefilter("error")
         blocks = oscillator_blocks(betas, dts)
-    assert blocks.shape == np.shape(betas) + (2, 2) and blocks.flags.c_contiguous
+    assert blocks.shape == np.shape(betas) + (2, 2)
+    assert blocks.transpose(-2, -1, *range(blocks.ndim - 2)).flags.c_contiguous  # entry-major
     assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
     dts = np.broadcast_to(dts, np.shape(betas))
     for k in np.ndindex(np.shape(betas)):

@@ -24,8 +24,9 @@ from floqtools import (
     step_propagator,
     unitarity_defect,
 )
-from floqtools import propagator
-from floqtools._linops import _matmul2, chain_matmul
+from floqtools import hill, propagator
+from floqtools._linops import _entry_product, chain_matmul
+from floqtools.profiles import DriveProfile
 
 TWO_PI = 2.0 * math.pi
 
@@ -647,7 +648,8 @@ def test_lone_2x2_matrix_takes_the_closed_form_of_a_stack():
 def test_entry_wise_2x2_product_matches_matmul():
     rng = np.random.default_rng(5)
     a, b = (rng.normal(size=(257, 2, 2)) + 1j * rng.normal(size=(257, 2, 2)) for _ in "ab")
-    assert np.abs(_matmul2(a, b) - np.matmul(a, b)).max() <= 1e-14
+    got = _entry_product(a.transpose(1, 2, 0), b.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert np.abs(got - np.matmul(a, b)).max() <= 1e-14
 
 
 def _pairwise(m, product):
@@ -710,7 +712,7 @@ def test_fourth_order_step_at_dimension_two_equals_the_stack_route():
     # evolve forms each 2x2 step on three entry rows; the same steps formed
     # on full matrices give the same bits.
     h = _cosine_drive(2, 7)
-    assert np.array_equal(evolve(h, 1.0, 64).matrix, _cf4_on_stacks(h, 64, _matmul2))
+    assert np.array_equal(evolve(h, 1.0, 64).matrix, _cf4_on_stacks(h, 64, _entry_formula))
 
 
 # ---------- streamed reduction ----------
@@ -744,6 +746,26 @@ def test_streamed_product_builds_aligned_chunks_and_matches_the_whole_chain(size
     for n in range(1, 71):
         blocks = [chain_matmul(mats[lo:min(lo + size, n)]) for lo in range(0, n, size)]
         assert np.array_equal(chain_matmul(blocks), chain_matmul(mats[:n])), n
+
+
+def test_every_long_2x2_chain_arrives_entry_major(monkeypatch):
+    # A C-order stack reduces to the same bits but several times more slowly,
+    # so every producer of a long 2x2 chain writes the entry-major layout.
+    stacks = []
+    for module in (hill, propagator):
+        def recording(mats, original=module.chain_matmul):
+            if len(mats) > 16:
+                stacks.append(np.asarray(mats))
+            return original(mats)
+        monkeypatch.setattr(module, "chain_matmul", recording)
+    hill.monodromy(DriveProfile.sinusoid(1.3, TWO_PI), 4096)
+    hill.monodromy(DriveProfile.offset_sinusoid(0.7, 1.3, TWO_PI), 4096)
+    evolve(_spin_drive, 5.7, 1000)
+    rng = np.random.default_rng(8)
+    step_propagator([(random_hermitian(rng, 2), 0.1) for _ in range(64)])
+    assert [len(m) for m in stacks] == [4096, 4096, 1000, 64]
+    for m in stacks:
+        assert m.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_evolve_memory_does_not_grow_with_the_step_count():

@@ -6,8 +6,9 @@ Runs each operation of bench/workloads.build(name, seed) in process through
 floqtools.cli.main, from the src/ tree next to this script, and then the
 fixed EXTRA argvs under the workload name `extra` (seed 0): the subcommands
 and options no workload runs, and runs that exit 2 or 3. Prints one line
-per operation: workload, seed, operation name, exit code, and the sha256 of
-stdout and of stderr. A refactor that keeps the output byte-identical gives
+per operation: workload, seed, operation name, exit code (or the type name
+of an exception that escapes cli.main), and the sha256 of stdout and of
+stderr. A refactor that keeps the output byte-identical gives
 the same lines at the parent commit and at the change, so `diff` of the two
 runs is empty. --reverse runs the same operations last to first and prints
 the lines in the forward order, so a result that depends on what an earlier
@@ -82,7 +83,9 @@ def step_floquet(hamiltonian, duration):
 # offsets, amplitude or phase overflow, a loop search at an angle too large
 # for a naive reduction, and a spin product of 2^19 steps whose rounding
 # drifts past the unitarity check. Last, the seven entry faults of
-# BAD_ENTRIES in a step-floquet pattern, and a 64-step pattern at d = 3.
+# BAD_ENTRIES in a step-floquet pattern, a 64-step pattern at d = 3, a
+# 5-step one at d = 2 (an odd stack of closed-form step exponentials), and a
+# trajectory of 10^17 samples, too many to allocate (exit 2).
 EXTRA = [
     ("spin-spectrum/point", SPIN_POINT),
     ("spin-spectrum/point-steps", SPIN_POINT + ["--steps", "512"]),
@@ -148,6 +151,10 @@ EXTRA = [
     for name, entry in BAD_ENTRIES
 ] + [
     ("step-floquet/d3-64-steps", workloads._pattern_op(np.random.default_rng(64), 3, 64).argv),
+    ("step-floquet/d2-5-steps", workloads._pattern_op(np.random.default_rng(5), 2, 5).argv),
+    ("osc-trajectory/samples-1e17", ["osc-trajectory", "--profile",
+                                     '{"kind": "constant", "beta0": 1}', "--t-end", "1",
+                                     "--samples", str(10 ** 17)]),
 ]
 
 
@@ -156,9 +163,13 @@ def sha(text):
 
 
 def digest(name, seed, kind, argv):
+    """One digest line; an exception that escapes cli.main stands as its type name for the code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a traceback at one tree still gives a line to compare
+            code = type(exc).__name__
     return " ".join(map(str, (name, seed, kind, code, sha(out.getvalue()), sha(err.getvalue()))))
 
 
