@@ -75,6 +75,13 @@ def require_finite(**values):
             raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
+def require_positive(**values):
+    """Raise ValueError naming the first keyword whose value is not a finite number > 0."""
+    for name, value in values.items():
+        if not (is_finite_number(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
+
+
 def finite_product(*factors):
     """Product of the factors; FloatingPointError when finite factors overflow.
 

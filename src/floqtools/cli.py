@@ -169,9 +169,8 @@ def _cmd_osc_loop_find(args):
         "loop_order": order,
     }
     if order is not None:
-        with raise_on_overflow("the monodromy overflows"):
-            report["loop_deviation"] = hill.loop_deviation(
-                hill.monodromy(family(beta0), args.steps), order)
+        report["loop_deviation"] = hill.loop_deviation(
+            hill.monodromy(family(beta0), args.steps), order)
     return report
 
 
@@ -388,7 +387,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         text = _render(args.func(args))
-    except (ProfileError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (hill.NoRootError, FloatingPointError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linops import count, raise_on_overflow, require_finite
+from ._linops import count, raise_on_overflow, require_finite, require_positive
 
 _AXIS_TOL = 1e-12
 
@@ -104,8 +104,7 @@ def magnetic_field_fd(potential, x, t, h=1e-5):
 
     potential is a callable (x, t) -> 3-vector, called once per offset.
     """
-    if not h > 0:
-        raise ValueError("finite-difference step h must be positive")
+    require_positive(h=h)
     x = np.asarray(x, dtype=float)
     # grad[j, k] = d_j A_k
     grad = np.array([(np.asarray(potential(x + offset, t), dtype=float)

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._linops import (TWO_PI, chain_matmul, count, oscillator_blocks, prefix_products,
-                      raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
+                      raise_on_overflow, reduce_to_zone, require_finite, require_positive,
+                      resolve_steps)
 from .profiles import DriveProfile, integration_segments, sample_segments
 
 ELLIPTIC = "elliptic"
@@ -90,13 +91,8 @@ def floquet_result(m, t_period, n_max=64):
     if a power overflows before any closes, FloatingPointError is raised.
     """
     n_max = count(n_max, "n_max", 0)
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"monodromy must be a 2x2 matrix, got shape {m.shape}")
-    if not all(map(math.isfinite, m.flat)):
-        raise ValueError("monodromy must be finite")
-    if not 0 < t_period < math.inf:
-        raise ValueError("period must be positive and finite")
+    m = _finite_monodromy(m)
+    require_positive(period=t_period)
     # np.trace's sum, which starts from 0.0 (so a -0.0 diagonal gives 0.0), on
     # NumPy scalars, so that an overflow still raises under raise_on_overflow.
     tr = float(0.0 + m[0, 0] + m[1, 1])
@@ -115,11 +111,22 @@ def loop_deviation(m, n_periods):
     The last value of _closure_defects: n sequential products, so the cost
     grows as O(n) time (about 0.5 us a period) in O(1) memory.
     """
-    return deque(_closure_defects(m, count(n_periods, "n_periods", 1)), maxlen=1)[0]
+    n_periods = count(n_periods, "n_periods", 1)
+    return deque(_closure_defects(_finite_monodromy(m), n_periods), maxlen=1)[0]
+
+
+def _finite_monodromy(m):
+    """m as a 2x2 float array; ValueError naming the monodromy unless it is one and finite."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"monodromy must be a 2x2 matrix, got shape {m.shape}")
+    if not all(map(math.isfinite, m.flat)):
+        raise ValueError("monodromy must be finite")
+    return m
 
 
 def _closure_defects(m, n):
-    """Yield ||M^k - 1||_max for k = 1..n of a 2x2 matrix M.
+    """Yield ||M^k - 1||_max for k = 1..n of a finite 2x2 float array M.
 
     One sequential pass M^k = M M^(k-1) in Python floats, each entry by
     chain_matmul's rule x[i, 0] y[0, j] + x[i, 1] y[1, j], keeping only the
@@ -128,9 +135,6 @@ def _closure_defects(m, n):
     does. Reaching a power that overflows (is not finite) raises
     FloatingPointError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     a, b, c, d = m.ravel().tolist()
     p00, p01, p10, p11 = a, b, c, d
     for k in range(1, n + 1):
@@ -147,17 +151,20 @@ def _trace_root(family, goal, bracket, n_steps, xtol, what):
     """Parameter x in bracket with tr monodromy(family(x)) == goal, by Brent's method.
 
     brentq reports a bracket without a sign change as a ValueError, and any
-    ValueError inside it becomes NoRootError naming `what`. So n_steps and
-    the family members at both ends are checked before brentq starts, and a
-    configuration error raises its own message. Brent's method runs under
-    raise_on_overflow, so a monodromy that overflows raises
-    FloatingPointError, which is not a ValueError. scipy.optimize is
-    imported here, on the first root search, so that importing the package
-    does not pay for it.
+    ValueError inside it becomes NoRootError naming `what`. So n_steps, xtol
+    (positive and finite), the bracket ends (finite) and the family members
+    at both ends are checked before brentq starts, and a configuration error
+    raises its own message. Brent's method runs under raise_on_overflow, so
+    a monodromy that overflows raises FloatingPointError, not a ValueError.
+    scipy.optimize is imported here, on the first root search, so that
+    importing the package does not pay for it.
     """
     from scipy.optimize import brentq
 
     n_steps = resolve_steps(n_steps)
+    require_positive(xtol=xtol)
+    for end in bracket:
+        require_finite(bracket=end)
     lo, hi = float(bracket[0]), float(bracket[1])
     family(lo), family(hi)
     try:
@@ -186,6 +193,7 @@ def find_loop_beta(family, target_angle, bracket, n_steps=None, xtol=1e-8):
 
     Raises NoRootError when the bracket holds no sign change.
     """
+    require_finite(target_angle=target_angle)
     return _trace_root(family, 2.0 * math.cos(target_angle), bracket, n_steps, xtol,
                        "Floquet-angle crossing")
 
@@ -211,21 +219,21 @@ def omega_F_scan(family, beta0_grid, n_steps=None):
     raises its own message; a monodromy that overflows raises
     FloatingPointError.
     """
-    profiles = [(float(beta0), family(beta0)) for beta0 in beta0_grid]
+    profiles = [(beta0, family(beta0)) for beta0 in beta0_grid]
     rows = []
     with raise_on_overflow("the monodromy overflows"):
         for beta0, profile in profiles:
             res = floquet_result(monodromy(profile, n_steps), profile.period, n_max=0)
-            rows.append(SweepPoint(beta0, res.trace, res.stability, res.omega_F))
+            rows.append(SweepPoint(float(beta0), res.trace, res.stability, res.omega_F))
     return rows
 
 
 def oscillator_quasienergies(omega_f, omega, n_levels):
     """Ladder omega_F (n + 1/2), each level reduced to (-omega/2, omega/2]."""
-    if not 0 <= omega_f < math.inf:
-        raise ValueError("omega_F must be non-negative and finite")
-    if not 0 < omega < math.inf:
-        raise ValueError("omega must be positive and finite")
+    require_finite(omega_F=omega_f)
+    if omega_f < 0:
+        raise ValueError(f"omega_F must be non-negative, got {omega_f}")
+    require_positive(omega=omega)
     levels = omega_f * (np.arange(count(n_levels, "n_levels", 1)) + 0.5)
     return reduce_to_zone(levels, omega)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hill
-from ._linops import (TWO_PI, count, finite_product, is_finite_number, raise_on_overflow,
-                      require_finite, rotation2)
+from ._linops import (TWO_PI, count, finite_product, raise_on_overflow, require_finite,
+                      require_positive, rotation2)
 from .profiles import DriveProfile, beta_period_integral
 
 # Symplectic form on (q1, q2, p1, p2).
@@ -39,9 +39,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         require_finite(**vars(self))
-        for name in ("charge", "mass", "light_speed"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        require_positive(charge=self.charge, mass=self.mass, light_speed=self.light_speed)
         if self.field < 0:
             raise ValueError("field must be non-negative")
 
@@ -102,8 +100,7 @@ def planar_loop_check(profile, n_periods, tol=1e-2, n_steps=None):
 
     ValueError naming tol unless it is positive and finite.
     """
-    if not (is_finite_number(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    require_positive(tol=tol)
     m = planar_monodromy(profile, n_periods, n_steps)
     deviation = float(np.abs(m - np.eye(4)).max())
     return deviation < tol, deviation

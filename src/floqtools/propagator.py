@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linops import (TWO_PI, _entry_product, chain_matmul, is_finite_number,
-                      raise_on_overflow, reduce_to_zone, require_finite, resolve_steps)
+from ._linops import (TWO_PI, _entry_product, chain_matmul, is_finite_number, raise_on_overflow,
+                      reduce_to_zone, require_finite, require_positive, resolve_steps)
 from ._linops import default_steps  # noqa: F401  (re-exported: the step default of evolve)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -169,8 +169,7 @@ class QuasiSpectrum:
     omega: float
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        require_positive(omega=self.omega)
         vals = np.sort(np.asarray(self.values, dtype=float))
         half = 0.5 * self.omega
         slack = 1e-9 * self.omega
@@ -375,9 +374,8 @@ def product_unitary(u, n_steps):
 
 def _zone_energies(phases, t_period):
     """Energies -phases / T reduced into the zone, and omega = 2 pi / T."""
+    require_positive(period=t_period)
     t_period = float(t_period)
-    if not 0 < t_period < math.inf:
-        raise ValueError("period must be positive and finite")
     omega = TWO_PI / t_period
     return reduce_to_zone(-phases / t_period, omega), omega
 

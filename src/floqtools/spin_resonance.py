@@ -102,6 +102,7 @@ def verify_factorization(params, t_grid, n_steps=None):
     period = params.period
     worst = 0.0
     for t in t_grid:
+        require_finite(t_grid=t)
         t = float(t)
         n = max(1, math.ceil(per_period * abs(t) / period))
         g = epicycle(lambda s: spin_instantaneous(params, s), generator, t, n).matrix

@@ -10,19 +10,28 @@ import floqtools
 from floqtools import (
     SIGMA_Z,
     DriveProfile,
+    QuasiSpectrum,
     SpinParams,
     TrapField,
     classical_trajectory,
+    constant_family,
     evolve,
+    find_loop_beta,
+    floquet_hamiltonian,
     floquet_result,
     loop_deviation,
+    magnetic_field_fd,
     monodromy,
     nodal_approx_error,
     oscillator_quasienergies,
     planar_loop_check,
     planar_trajectory,
     polish_loop_beta1,
+    quasienergies,
     rotating_frame_reduction,
+    stability_threshold,
+    verify_factorization,
+    with_amplitude,
 )
 from floqtools._linops import chain_matmul, prefix_products, resolve_steps
 from floqtools.hill import loop_order_for_angle
@@ -62,9 +71,43 @@ def test_count_rejects_non_integers_naming_the_parameter(name, call, value):
         call(value)
 
 
-# Each call passes one input that is NaN, infinite or out of range, named by
-# the first entry: the Hill stack first, then the checks it shares and the trap
-# fields.
+# Values that are not finite numbers: a bool, a string, None, an integer too
+# large for a float, and NaN.
+NOT_NUMBERS = {"bool": True, "string": "2.5", "None": None, "huge": 10 ** 400, "nan": math.nan}
+STEPS = DriveProfile.from_steps(((2.0, 0.5), (0.0, 0.5)))
+ZERO_FIELD = lambda x, t: np.zeros(3)  # noqa: E731
+# A number input of a library boundary (id: (name pattern, call with the value)).
+NUMBER_INPUTS = {
+    "with_amplitude-constant": ("beta0", lambda v: with_amplitude(DriveProfile.constant(1.0), v)),
+    "with_amplitude-sin": ("beta0", lambda v: with_amplitude(SIN, v)),
+    "with_amplitude-offset_sin": ("beta0", lambda v: with_amplitude(
+        DriveProfile.offset_sinusoid(0.5, 1.0, TWO_PI), v)),
+    "floquet_result-period": ("^period", lambda v: floquet_result(np.eye(2), v)),
+    "quasienergies-period": ("^period", lambda v: quasienergies(np.eye(2), v)),
+    "floquet_hamiltonian-period": ("^period", lambda v: floquet_hamiltonian(np.eye(2), v)),
+    "QuasiSpectrum-omega": ("^omega", lambda v: QuasiSpectrum([0.1], v)),
+    "oscillator_quasienergies-omega_F": ("^omega_F", lambda v: oscillator_quasienergies(v, 2.0, 3)),
+    "oscillator_quasienergies-omega": ("^omega must",
+                                       lambda v: oscillator_quasienergies(1.0, v, 3)),
+    "magnetic_field_fd-h": ("^h must", lambda v: magnetic_field_fd(
+        ZERO_FIELD, np.zeros(3), 0.0, v)),
+    "find_loop_beta-target_angle": ("^target_angle", lambda v: find_loop_beta(
+        constant_family(), v, (1.0, 2.0))),
+    "find_loop_beta-bracket-lo": ("^bracket", lambda v: find_loop_beta(
+        constant_family(), math.pi / 2, (v, 2.0))),
+    "find_loop_beta-bracket-hi": ("^bracket", lambda v: find_loop_beta(
+        constant_family(), math.pi / 2, (1.0, v))),
+    "find_loop_beta-xtol": ("^xtol", lambda v: find_loop_beta(
+        constant_family(), math.pi / 2, (1.0, 2.0), xtol=v)),
+    "stability_threshold-xtol": ("^xtol", lambda v: stability_threshold(TWO_PI, xtol=v)),
+    "verify_factorization-t_grid": ("^t_grid", lambda v: verify_factorization(
+        SpinParams(1.0, 0.5, 1.0), [v], 64)),
+}
+
+# Each call passes one input that is not a finite number or is out of range,
+# named by the first entry: the Hill stack first, then the checks it shares
+# and the trap fields, then every number input above with each value of
+# NOT_NUMBERS.
 HILL_SITES = [
     pytest.param("t_end", lambda: classical_trajectory(SIN, (1.0, 0.0), math.nan, 4),
                  id="classical_trajectory-t_end"),
@@ -75,13 +118,10 @@ HILL_SITES = [
     pytest.param("state0", lambda: planar_trajectory(SIN, (1.0, 0.0, math.inf, 1.0), 1.0, 4),
                  id="planar_trajectory-state0"),
     pytest.param("period", lambda: floquet_result(np.eye(2), 0.0), id="floquet_result-zero"),
-    pytest.param("period", lambda: floquet_result(np.eye(2), math.nan), id="floquet_result-nan"),
     pytest.param("monodromy", lambda: floquet_result(np.full((2, 2), math.nan), 1.0),
                  id="floquet_result-matrix"),
     pytest.param("monodromy must be a 2x2", lambda: floquet_result(np.diag([3.0, 0.5, 0.1]), 1.0),
                  id="floquet_result-shape"),
-    pytest.param("omega_F", lambda: oscillator_quasienergies(math.nan, 2.0, 3),
-                 id="oscillator_quasienergies-nan"),
     pytest.param("omega_F", lambda: oscillator_quasienergies(math.inf, 2.0, 3),
                  id="oscillator_quasienergies-inf"),
     *[pytest.param("^tol must be positive and finite", lambda tol=tol: planar_loop_check(
@@ -107,6 +147,22 @@ HILL_SITES = [
                  id="TrapField-axis-shape"),
     pytest.param("^radius must be non-negative$", lambda: nodal_approx_error(
         TrapField(1.3, TWO_PI, 1.0), -1.0, [0.0]), id="nodal_approx_error-radius"),
+    pytest.param("^monodromy must be finite$",
+                 lambda: loop_deviation([[1.0, math.nan], [0.0, 1.0]], 4),
+                 id="loop_deviation-matrix"),
+    pytest.param("^monodromy must be a 2x2", lambda: loop_deviation(np.eye(3), 4),
+                 id="loop_deviation-shape"),
+    *[pytest.param(name, lambda call=call, value=value: call(value), id=f"{site}-{label}")
+      for site, (name, call) in NUMBER_INPUTS.items() for label, value in NOT_NUMBERS.items()],
+    # A steps amplitude that is NaN makes the step betas NaN, which the steps
+    # check names (test_properties).
+    *[pytest.param("beta0", lambda value=value: with_amplitude(STEPS, value),
+                   id=f"with_amplitude-steps-{label}")
+      for label, value in NOT_NUMBERS.items() if label != "nan"],
+    *[pytest.param("^xtol must be positive and finite", lambda call=call, value=value: call(value),
+                   id=f"{site}-{value:g}")
+      for site in ("find_loop_beta-xtol", "stability_threshold-xtol")
+      for call in [NUMBER_INPUTS[site][1]] for value in (0.0, -1.0)],
 ]
 
 

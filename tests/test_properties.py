@@ -24,7 +24,8 @@ from floqtools import (
     step_evolve,
     with_amplitude,
 )
-from floqtools._linops import chain_matmul, finite_product, oscillator_blocks, prefix_products
+from floqtools._linops import (chain_matmul, finite_product, is_finite_number, oscillator_blocks,
+                               prefix_products)
 from floqtools.hill import HYPERBOLIC, classify_trace, floquet_angle
 from floqtools.profiles import sample_segments
 
@@ -65,19 +66,27 @@ def test_sinusoidal_period_follows_omega_through_replace(profile, omega):
 
 
 # Finite amplitudes, -0.0, integers and values whose steps products overflow
-# among them, and the non-finite ones.
+# among them, the non-finite ones, and values that are not numbers: a bool, a
+# string, None and an integer too large for a float.
 amplitudes = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                        st.integers(-10 ** 6, 10 ** 6),
                        st.sampled_from([-0.0, 0, 10 ** 300, 1e308, -1e308]),
-                       non_finite)
+                       non_finite,
+                       st.sampled_from([True, "2.5", None, 10 ** 400]))
 
 
 def _replaced(profile, beta0):
-    """with_amplitude through dataclasses.replace, which reruns every field check."""
+    """with_amplitude through dataclasses.replace, which reruns every field check.
+
+    A steps amplitude scales the step betas, so one that is not a float must
+    be a finite number, as a profile field must.
+    """
     if profile.kind == "steps":
+        if not (isinstance(beta0, float) or is_finite_number(beta0)):
+            raise ProfileError("field 'beta0' must be a finite number")
         return replace(profile, steps=tuple((finite_product(beta0, beta), tau)
                                             for beta, tau in profile.steps))
-    return replace(profile, beta0=float(beta0))
+    return replace(profile, beta0=beta0)
 
 
 def _outcome(build, profile, beta0):
@@ -96,7 +105,7 @@ def test_with_amplitude_is_the_replace_route(kind, data, beta0):
     profile = data.draw(PROFILES[kind])
     got = _outcome(with_amplitude, profile, beta0)
     assert got == _outcome(_replaced, profile, beta0)
-    if not math.isfinite(beta0):
+    if not is_finite_number(beta0):
         assert got[0] is ProfileError
 
 
